@@ -2,30 +2,31 @@
 //
 // One scenario, thousands of disks: a synthetic farm at ~0.6 per-disk
 // utilization (24.4 req/s per spindle — 1e5 req/s aggregate at 4096 disks)
-// is run through the single-calendar path and through both sys/fleet.h
+// is run through run_experiment at one shard and through both sys/fleet.h
 // pipelines at 2/4/8 shards:
 //
-//   path=single  shards=1, the plain StorageSystem calendar (baseline)
-//   path=local   the routerless fast path (cache=none farms qualify):
-//                workers generate arrivals shard-locally, no router thread
-//   path=routed  the pipelined router (forced here for comparison; it is
-//                what any cache-ful scenario gets), SPSC rings + recycled
-//                batch arenas
+//   path=one-shard  shards=1 via run_experiment: one calendar on the
+//                   calling thread (baseline)
+//   path=local      the routerless fast path (cache=none farms qualify):
+//                   workers generate arrivals shard-locally, no router
+//                   thread
+//   path=routed     the pipelined router (forced here for comparison; it
+//                   is what any cache-ful scenario gets), SPSC rings +
+//                   recycled batch arenas
 //
 // Self-timed (std::chrono); each row reports calendar events executed,
-// wall-clock, events/s and the wall-clock speedup over shards=1 at the
-// same scale.  Every sharded run is also checked bit-for-bit against the
-// single-calendar result (energy, response mean/count, spin-ups), so the
-// bench doubles as a large-scale determinism smoke test across both
-// pipelines.  --json additionally emits one kind="shard" row per shard
-// with the FleetPerf counters (submissions, batches, events, ring
+// wall-clock, events/s and the wall-clock speedup over the one-shard run
+// at the same scale.  Every sharded run is also checked bit-for-bit
+// against the one-shard result (energy, response mean/count, spin-ups,
+// events), so the bench doubles as a large-scale determinism smoke test
+// across both pipelines.  --json additionally emits one kind="shard" row
+// per shard with the FleetPerf counters (submissions, batches, events, ring
 // high-water, worker busy/wait), so routing regressions are diagnosable
 // from BENCH_fleet.json alone.
 //
-// `events` is an engine statistic, not a physical result: the fleet paths
-// pre-route arrivals instead of scheduling them as calendar events, so the
-// sharded rows execute fewer events for the same physics.  events/s is
-// therefore comparable within a shard count, wall-clock across all of them.
+// `events` counts disk work only (arrivals are routed without calendar
+// events), so it is the same on every row of a scale and events/s compares
+// directly across shard counts and pipelines.
 //
 // Usage:
 //   fleet_throughput [--quick] [--force-router] [--reps <n>] [--json <path>]
@@ -83,7 +84,7 @@ struct Row {
   std::uint64_t requests = 0;
   std::uint64_t events = 0;
   double wall_s = 0.0;
-  double speedup = 0.0; ///< wall(shards=1) / wall(this row), same scale
+  double speedup = 0.0; ///< wall(one shard) / wall(this row), same scale
   bool identical = false;
 
   double events_per_sec() const { return wall_s > 0 ? events / wall_s : 0.0; }
@@ -109,7 +110,7 @@ int main(int argc, char** argv) {
         << "calendar shards, on both fleet pipelines (routerless fast\n"
         << "path and pipelined router; --force-router keeps only the\n"
         << "latter); reports events/s and the wall-clock speedup over\n"
-        << "the single calendar, and verifies every sharded result is\n"
+        << "the one-shard run, and verifies every sharded result is\n"
         << "bit-identical to it.\n";
     return 0;
   }
@@ -174,21 +175,22 @@ int main(int argc, char** argv) {
     cfg.workload = sys::WorkloadSpec::poisson(rate, horizon);
     cfg.seed = seed;
 
-    // Baseline: the single calendar (shards=1 takes the StorageSystem
-    // path inside run_experiment).
+    // Baseline: one shard through run_experiment, on the pipeline the
+    // scenario classifies to.
     cfg.shards = 1;
     sys::RunResult baseline;
+    sys::FleetPerf baseline_perf;
     double baseline_wall = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
       const auto b0 = std::chrono::steady_clock::now();
-      baseline = sys::run_experiment(cfg);
+      baseline = sys::run_experiment(cfg, nullptr, &baseline_perf);
       const double wall = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - b0)
                               .count();
       baseline_wall = rep == 0 ? wall : std::min(baseline_wall, wall);
     }
 
-    const auto emit = [&](const Row& row, const sys::FleetPerf* perf) {
+    const auto emit = [&](const Row& row, const sys::FleetPerf& perf) {
       table.add_row({std::to_string(row.disks), std::to_string(row.shards),
                      row.path, std::to_string(row.requests),
                      std::to_string(row.events),
@@ -209,19 +211,17 @@ int main(int argc, char** argv) {
                  {"wall_s", row.wall_s},
                  {"events_per_sec", row.events_per_sec()},
                  {"requests_per_sec", row.requests_per_sec()},
-                 {"speedup_vs_single", row.speedup},
-                 {"identical_to_single", row.identical},
-                 {"workers", perf != nullptr ? perf->workers : 1u},
-                 {"router_busy_s", perf != nullptr ? perf->router_busy_s : 0.0},
-                 {"router_stall_s",
-                  perf != nullptr ? perf->router_stall_s : 0.0}});
-      if (perf == nullptr) return;
-      for (const auto& s : perf->per_shard) {
+                 {"speedup_vs_one_shard", row.speedup},
+                 {"identical_to_one_shard", row.identical},
+                 {"workers", perf.workers},
+                 {"router_busy_s", perf.router_busy_s},
+                 {"router_stall_s", perf.router_stall_s}});
+      for (const auto& s : perf.per_shard) {
         // Worker timings index workers, not shards; they coincide on the
         // routed path (one worker per shard).  On the fast path a worker
         // may drive several shards, so charge its times to each shard it
         // owns (shard s belongs to worker s % workers by construction).
-        const std::size_t w = s.shard % perf->workers;
+        const std::size_t w = s.shard % perf.workers;
         json->row(
             {{"kind", "shard"},
              {"disks", row.disks},
@@ -234,8 +234,8 @@ int main(int argc, char** argv) {
              {"events_per_sec",
               row.wall_s > 0 ? s.events / row.wall_s : 0.0},
              {"ring_high_water", static_cast<std::uint64_t>(s.ring_high_water)},
-             {"worker_busy_s", perf->worker_busy_s[w]},
-             {"worker_wait_s", perf->worker_wait_s[w]}});
+             {"worker_busy_s", perf.worker_busy_s[w]},
+             {"worker_wait_s", perf.worker_wait_s[w]}});
       }
     };
 
@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
       Row row;
       row.disks = disks;
       row.shards = 1;
-      row.path = "single";
+      row.path = "one-shard";
       row.rate = rate;
       row.horizon_s = horizon;
       row.requests = baseline.requests;
@@ -251,11 +251,11 @@ int main(int argc, char** argv) {
       row.wall_s = baseline_wall;
       row.speedup = 1.0;
       row.identical = true;
-      emit(row, nullptr);
+      emit(row, baseline_perf);
     }
 
     for (const std::uint32_t shards : shard_counts) {
-      if (shards == 1) continue; // the single-calendar row above
+      if (shards == 1) continue; // the one-shard row above
       for (const sys::FleetPath path : paths) {
         sys::FleetPerf perf;
         sys::RunResult result;
@@ -287,9 +287,10 @@ int main(int argc, char** argv) {
             result.response.mean() == baseline.response.mean() &&
             result.response.max() == baseline.response.max() &&
             result.power.spin_ups == baseline.power.spin_ups &&
-            result.requests == baseline.requests;
+            result.requests == baseline.requests &&
+            result.events == baseline.events;
         all_identical = all_identical && row.identical;
-        emit(row, &perf);
+        emit(row, perf);
       }
     }
   }

@@ -14,9 +14,9 @@
 //   * reads of cached files are served by their cache disk; everything else
 //     goes to its data disk.
 //
-// The result plugs straight into StorageSystem: a mapping plus a per-disk
-// policy vector (cache disks never spin down, data disks use the paper's
-// break-even threshold).
+// The result plugs straight into sys::ExperimentConfig: a mapping plus
+// per-disk policy overrides (cache disks never spin down, data disks use
+// the paper's break-even threshold).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "sys/experiment.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "cache/fifo.h"
@@ -23,6 +24,16 @@ std::vector<std::string> parse_call(const std::string& name,
 }
 
 using detail::split;
+
+/// Energy is integrated over [0, horizon], so a synthetic workload needs a
+/// positive, finite one.
+void check_horizon(double horizon_s, const std::string& context) {
+  if (!(horizon_s > 0.0) || !std::isfinite(horizon_s)) {
+    throw std::invalid_argument{
+        "WorkloadSpec: horizon must be positive and finite in '" + context +
+        "'"};
+  }
+}
 
 } // namespace
 
@@ -278,6 +289,7 @@ double WorkloadSpec::measurement_horizon() const {
     // measurement window.
     return trace->duration() + 1.0;
   }
+  check_horizon(horizon_s, spec());
   return horizon_s;
 }
 
@@ -381,7 +393,9 @@ WorkloadSpec WorkloadSpec::parse(const std::string& name) {
       throw std::invalid_argument{
           "WorkloadSpec: want poisson(rate,horizon), got '" + name + "'"};
     }
-    return poisson(parse_number(args[0], name), parse_number(args[1], name));
+    const double horizon = parse_number(args[1], name);
+    check_horizon(horizon, name);
+    return poisson(parse_number(args[0], name), horizon);
   }
   if (name.rfind("nhpp", 0) == 0) {
     const auto args = parse_call(name, "nhpp");
@@ -401,6 +415,7 @@ WorkloadSpec WorkloadSpec::parse(const std::string& name) {
                           parse_number(parts[1], name)});
     }
     const double horizon = parse_number(args[1], name);
+    check_horizon(horizon, name);
     const double period =
         args.size() == 3 ? parse_number(args[2], name) : 0.0;
     return nhpp(std::move(segments), horizon, period);
@@ -416,7 +431,9 @@ WorkloadSpec WorkloadSpec::parse(const std::string& name) {
     p.rate[1] = parse_number(args[1], name);
     p.mean_dwell[0] = parse_number(args[2], name);
     p.mean_dwell[1] = parse_number(args[3], name);
-    return mmpp(p, parse_number(args[4], name));
+    const double horizon = parse_number(args[4], name);
+    check_horizon(horizon, name);
+    return mmpp(p, horizon);
   }
   throw std::invalid_argument{
       "WorkloadSpec: unknown workload '" + name +
@@ -424,55 +441,14 @@ WorkloadSpec WorkloadSpec::parse(const std::string& name) {
       "trace:<stem>|replay)"};
 }
 
-RunResult run_experiment(const ExperimentConfig& config) {
-  return run_experiment(config, nullptr, nullptr);
-}
-
 RunResult run_experiment(const ExperimentConfig& config, obs::RunTrace* trace,
                          FleetPerf* perf) {
   if (config.catalog == nullptr) {
     throw std::invalid_argument{"ExperimentConfig: catalog is required"};
   }
-
   const std::uint32_t shards =
       effective_shards(config.shards, config.num_disks);
-  // Whole-episode measurement (horizon <= 0) needs the single global
-  // calendar; every built-in workload has a positive horizon.  Fleet
-  // orchestration lives in the router, so an orchestrated run takes the
-  // fleet path even at shards == 1 — one implementation defines its
-  // semantics, and shard bit-identity follows for free.
-  if ((shards > 1 || config.orch.enabled()) &&
-      config.workload.measurement_horizon() > 0.0) {
-    return run_fleet(config, shards, classify_fleet_path(config), perf,
-                     trace);
-  }
-  if (config.orch.enabled()) {
-    throw std::invalid_argument{
-        "ExperimentConfig: orchestration requires a workload with a "
-        "positive measurement horizon"};
-  }
-
-  const auto cache = config.cache.make();
-  StorageSystem system{*config.catalog, config.mapping, config.num_disks,
-                       config.params,   config.policy,  cache.get(),
-                       config.seed};
-  system.set_scheduler(config.scheduler);
-  for (const auto& [disk, policy] : config.policy_overrides) {
-    system.set_policy_override(disk, policy);
-  }
-  if (trace != nullptr && config.obs.enabled()) {
-    system.set_obs(config.obs.kind_mask(), config.obs.metrics_interval_s,
-                   trace);
-  }
-  if (perf != nullptr) {
-    *perf = FleetPerf{};
-    perf->path = classify_fleet_path(config);
-    perf->shards = 1;
-    perf->workers = 1;
-  }
-
-  const auto stream = config.workload.make_stream(*config.catalog, config.seed);
-  return system.run(*stream, config.workload.measurement_horizon());
+  return run_fleet(config, shards, classify_fleet_path(config), perf, trace);
 }
 
 } // namespace spindown::sys

@@ -97,7 +97,8 @@ struct WorkloadSpec {
 
   /// The energy-measurement window this spec implies: `horizon_s` for the
   /// synthetic kinds, trace duration + 1 s for replays (so the request at
-  /// the trace end lands inside the window).
+  /// the trace end lands inside the window).  Throws std::invalid_argument
+  /// when the window is not positive and finite.
   double measurement_horizon() const;
 
   /// Mean arrival rate this spec implies — the R that normalize()'s load
@@ -218,7 +219,7 @@ struct ObsSpec {
 ///
 /// Orchestration is a deterministic function of the routed arrival stream,
 /// so every result stays bit-identical at any shard count; enabling it
-/// forces the fleet router path (like caches do via dynamic_routing).
+/// forces the fleet router path, as a cache does.
 struct OrchSpec {
   bool redirect = false; ///< replica-aware read redirection
   bool offload = false;  ///< write off-loading onto log disks
@@ -270,23 +271,18 @@ struct ExperimentConfig {
   WorkloadSpec workload;
   std::uint64_t seed = 1;
   /// Shard the run's event calendar across this many per-disk-group
-  /// sub-simulations (sys/fleet.h).  1 = the single-calendar path; 0 =
-  /// auto (one shard per hardware thread, clamped so every shard owns at
-  /// least fleet.h's kAutoMinDisksPerShard disks).
-  /// Sharding changes wall-clock only: every physical result field is
+  /// sub-simulations (sys/fleet.h).  1 = one calendar holding every disk,
+  /// run on the calling thread; 0 = auto (one shard per hardware thread,
+  /// clamped so every shard owns at least fleet.h's kAutoMinDisksPerShard
+  /// disks).  Sharding changes wall-clock only: every result field is
   /// bit-identical at any shard count.
   std::uint32_t shards = 1;
-  /// Set by scenario resolution when the placement does NOT reduce to the
-  /// static `mapping` vector above (PlacementSpec::static_mapping false —
-  /// i.e. `replicas=k` with k > 1, where the replica a read lands on is
-  /// chosen per request at arrival time).  Forces runs onto the router
-  /// path even with cache=none, because routing then depends on global
-  /// arrival order.
-  bool dynamic_routing = false;
   /// k-way replication degree from the placement (`replicas=` scenario
   /// key).  Replica r of file f lives at (mapping[f] + r * stride) % D
   /// with stride = max(1, D / k) over the D data disks; `mapping` above
-  /// stores replica 0 (the primary).  1 = no replication.
+  /// stores replica 0 (the primary).  1 = no replication.  Only
+  /// orchestration's read redirection ever routes to a replica other than
+  /// the primary.
   std::uint32_t replicas = 1;
   /// Fleet orchestration (`orch=` scenario key).  When enabled() the run
   /// takes the fleet router path at any shard count and num_disks includes
@@ -297,17 +293,17 @@ struct ExperimentConfig {
   ObsSpec obs;
 };
 
-/// Run one experiment to completion.  Deterministic given the config.
-RunResult run_experiment(const ExperimentConfig& config);
-
-/// As above, also collecting observability output.  When `trace` is
-/// non-null and config.obs enables any kind, the canonical sim-time event
-/// stream (bit-identical at any shard count) and — with obs profile on a
-/// sharded run — the wall-clock pipeline samples are appended to it.  When
-/// `perf` is non-null it receives the fleet pipeline diagnostics (for a
-/// single-calendar run: shards == workers == 1 with empty per-shard rows).
-/// The RunResult is bit-identical to the untraced overload's.
-RunResult run_experiment(const ExperimentConfig& config, obs::RunTrace* trace,
+/// Run one experiment to completion on the fleet engine (sys/fleet.h) at
+/// effective_shards(config.shards, config.num_disks) shards.
+/// Deterministic given the config.  When `trace` is non-null and config.obs
+/// enables any kind, the canonical sim-time event stream (bit-identical at
+/// any shard count) and — with obs profile — the wall-clock pipeline
+/// samples are appended to it; when `perf` is non-null it receives the
+/// pipeline diagnostics.  Neither changes the RunResult.  Throws
+/// std::invalid_argument on config errors, including a workload horizon
+/// that is not positive and finite.
+RunResult run_experiment(const ExperimentConfig& config,
+                         obs::RunTrace* trace = nullptr,
                          FleetPerf* perf = nullptr);
 
 } // namespace spindown::sys

@@ -38,6 +38,32 @@ constexpr std::size_t kBatchesPerShard = 16;
 
 constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
 
+/// Advance `frontier` one window and fill `block` with every arrival below
+/// it.  Across an idle stretch the frontier jumps to the window after the
+/// next arrival instead of stepping through empty windows one by one.
+double fill_window(workload::WindowedStream& windowed, double frontier,
+                   double window, workload::RequestBlock& block) {
+  frontier += window;
+  if (windowed.next_arrival() >= frontier) {
+    frontier = windowed.next_arrival() + window;
+  }
+  block.clear();
+  windowed.fill(frontier, std::numeric_limits<std::size_t>::max(), block);
+  return frontier;
+}
+
+/// Profile samples are wall-clock (never part of the determinism
+/// contract); order them by lane then start offset for readability.
+void sort_profile(std::vector<obs::TraceEvent>& profile) {
+  std::stable_sort(profile.begin(), profile.end(),
+                   [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
+                     if (obs::track_rank(a.track) != obs::track_rank(b.track))
+                       return obs::track_rank(a.track) <
+                              obs::track_rank(b.track);
+                     return a.t < b.t;
+                   });
+}
+
 /// Pre-routed submissions for one shard, one synchronization window.
 /// Structure-of-arrays like workload::RequestBlock: the worker's replay
 /// loop touches time[] on every iteration but the payload fields only at
@@ -84,7 +110,7 @@ struct ShardBatch {
 /// One shard's private calendar: the disks with id % shards == shard
 /// (local index l holds global disk shard + l * shards), per-disk response
 /// accumulators, and the horizon-snapshot rule — identical for both
-/// pipelines, and structurally the same episode as StorageSystem::run.
+/// pipelines.
 /// Heap-allocated and never moved: the completion callbacks capture member
 /// addresses.
 class ShardSim {
@@ -92,8 +118,8 @@ public:
   /// `obs_mask` non-zero enables tracing into a shard-private buffer
   /// (single-writer: exactly one thread ever drives this calendar).  The
   /// sampler is started after every disk exists, so its calendar ticks are
-  /// inserted after all idle timers — the same insertion order as the
-  /// single-calendar path, hence the same measure-zero tie resolution.
+  /// inserted after all idle timers — the same insertion order in every
+  /// shard, hence the same measure-zero tie resolution.
   ShardSim(const ExperimentConfig& config, double horizon,
            const std::vector<std::uint32_t>& disk_ids,
            const std::vector<util::Rng>& rngs,
@@ -130,8 +156,7 @@ public:
   /// Fixed tie rule: every pending disk event at t <= arrival runs before
   /// a submission at t — identical at any shard count.  The horizon
   /// snapshot (freezing the power/queue counters) is taken before the
-  /// local clock first passes the horizon, exactly like the
-  /// single-calendar path's snapshot event.
+  /// local clock first passes the horizon.
   void advance(double t) {
     if (snapshot_.empty() && t >= horizon_) {
       sim_.run_until(horizon_);
@@ -153,8 +178,7 @@ public:
   obs::TraceBuffer* trace_buffer() { return trace_.get(); }
 
   /// Drain: in-flight services run to completion past the horizon and
-  /// still record their response times — the same episode structure as
-  /// the single-calendar path.
+  /// still record their response times.
   RunResult finalize() {
     advance(horizon_);
     sim_.run();
@@ -201,11 +225,25 @@ struct FleetSetup {
   /// The orchestration log tier never sleeps — it absorbs writes precisely
   /// because it is always on (policies[] points here for log disks).
   PolicySpec log_policy = PolicySpec::never();
+  /// Tracing: the sim-time kinds every shard calendar records (kProfile
+  /// samples are collected by the pipelines themselves), and whether the
+  /// pipeline stages are profiled, as wall-clock offsets from the run-wide
+  /// prof_t0 so every lane shares one time origin.
+  std::uint32_t sim_mask = 0;
+  bool profiling = false;
+  PerfClock::time_point prof_t0 = PerfClock::now();
 
-  FleetSetup(const ExperimentConfig& config, std::uint32_t shards_in)
+  /// `trace` is non-null only when the run records something.
+  FleetSetup(const ExperimentConfig& config, std::uint32_t shards_in,
+             const obs::RunTrace* trace)
       : shards(shards_in), disk_ids(shards_in), rngs(shards_in),
         policies(shards_in) {
     horizon = config.workload.measurement_horizon();
+    if (trace != nullptr) {
+      sim_mask =
+          config.obs.kind_mask() & ~obs::kind_bit(obs::Kind::kProfile);
+      profiling = config.obs.profile;
+    }
     util::Rng farm_rng{config.seed};
     for (std::uint32_t d = 0; d < config.num_disks; ++d) {
       const std::uint32_t w = d % shards;
@@ -225,13 +263,10 @@ struct FleetSetup {
                                        config.num_disks);
   }
 
-  /// `obs_mask` covers the sim-time kinds only (kProfile samples are
-  /// collected by the pipelines themselves, not the shard calendars).
   std::unique_ptr<ShardSim> make_sim(const ExperimentConfig& config,
-                                     std::uint32_t shard,
-                                     std::uint32_t obs_mask = 0) const {
+                                     std::uint32_t shard) const {
     return std::make_unique<ShardSim>(config, horizon, disk_ids[shard],
-                                      rngs[shard], policies[shard], obs_mask,
+                                      rngs[shard], policies[shard], sim_mask,
                                       config.obs.metrics_interval_s);
   }
 };
@@ -257,10 +292,6 @@ struct LocalWorker {
   double busy_s = 0.0;
   std::exception_ptr error;
   std::vector<RunResult>* partials = nullptr;  ///< slot s+1 per shard s
-  /// kProfile stage sampling (obs profile): wall-clock offsets are taken
-  /// against the run-wide prof_t0 so every lane shares one time origin.
-  bool profiling = false;
-  PerfClock::time_point prof_t0{};
   std::vector<obs::TraceEvent> prof; ///< kProfWorkerReplay, read after join
 
   void run() {
@@ -275,6 +306,8 @@ private:
   void simulate() {
     const auto t0 = PerfClock::now();
     const std::uint32_t shards = setup->shards;
+    const bool profiling = setup->profiling;
+    const auto prof_t0 = setup->prof_t0;
     std::vector<std::uint32_t> slot(shards, kNoSlot);
     for (std::size_t i = 0; i < owned.size(); ++i) {
       slot[owned[i]] = static_cast<std::uint32_t>(i);
@@ -321,13 +354,7 @@ private:
       ++flushes;
     };
     while (!windowed.exhausted()) {
-      frontier += window;
-      if (windowed.next_arrival() >= frontier) {
-        frontier = windowed.next_arrival() + window;
-      }
-      block.clear();
-      windowed.fill(frontier, std::numeric_limits<std::size_t>::max(),
-                    block);
+      frontier = fill_window(windowed, frontier, window, block);
       generated += block.size();
       for (std::size_t i = 0; i < block.size(); ++i) {
         const auto& file = config->catalog->by_id(block.file[i]);
@@ -360,30 +387,26 @@ std::vector<RunResult> run_shard_local(const ExperimentConfig& config,
   if (hw == 0) hw = 1;
   const std::uint32_t n_workers = std::min(shards, hw);
 
-  const std::uint32_t mask = trace != nullptr ? config.obs.kind_mask() : 0;
-  const std::uint32_t sim_mask = mask & ~obs::kind_bit(obs::Kind::kProfile);
-  const bool profiling = trace != nullptr && config.obs.profile;
-  const auto prof_t0 = PerfClock::now();
-
   std::vector<RunResult> partials(1 + shards);
   std::vector<LocalWorker> workers(n_workers);
   for (std::uint32_t w = 0; w < n_workers; ++w) {
     workers[w].config = &config;
     workers[w].setup = &setup;
     workers[w].partials = &partials;
-    workers[w].profiling = profiling;
-    workers[w].prof_t0 = prof_t0;
     for (std::uint32_t s = w; s < shards; s += n_workers) {
       workers[w].owned.push_back(s);
-      workers[w].sims.push_back(setup.make_sim(config, s, sim_mask));
+      workers[w].sims.push_back(setup.make_sim(config, s));
     }
   }
   {
+    // The calling thread drives worker 0, so a one-shard run starts no
+    // thread at all.
     std::vector<std::jthread> threads;
-    threads.reserve(n_workers);
-    for (auto& worker : workers) {
-      threads.emplace_back([&worker] { worker.run(); });
+    threads.reserve(n_workers - 1);
+    for (std::uint32_t w = 1; w < n_workers; ++w) {
+      threads.emplace_back([&worker = workers[w]] { worker.run(); });
     }
+    workers[0].run();
   } // workers join here
   // Worker 0 owns shard 0: errors rethrow in lowest-shard-first order, the
   // same schedule-independent convention as run_sweep.
@@ -395,16 +418,12 @@ std::vector<RunResult> run_shard_local(const ExperimentConfig& config,
   root.power.horizon_s = setup.horizon;
   root.requests = workers[0].generated; // every worker replays the whole
                                         // stream; the counts are equal
-  const stats::LinearHistogram empty_hist{stats::ResponseSummary::kHistLo,
-                                          stats::ResponseSummary::kHistHi,
-                                          stats::ResponseSummary::kHistBins};
-  root.recompute_from_per_disk(empty_hist);
 
-  if (trace != nullptr && mask != 0) {
+  if (trace != nullptr) {
     trace->horizon_s = setup.horizon;
     trace->shards = shards;
     trace->workers = n_workers;
-    if (sim_mask != 0) {
+    if (setup.sim_mask != 0) {
       // Buffers gathered in shard order; append_canonical re-sorts by
       // track (stably), so the gather order never shows in the output.
       std::vector<obs::TraceBuffer*> buffers(shards, nullptr);
@@ -415,19 +434,11 @@ std::vector<RunResult> run_shard_local(const ExperimentConfig& config,
       }
       obs::append_canonical(trace->events, buffers);
     }
-    // Profile samples are wall-clock (never part of the determinism
-    // contract); order them by lane then start offset for readability.
     for (const auto& worker : workers) {
       trace->profile.insert(trace->profile.end(), worker.prof.begin(),
                             worker.prof.end());
     }
-    std::stable_sort(trace->profile.begin(), trace->profile.end(),
-                     [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
-                       if (obs::track_rank(a.track) != obs::track_rank(b.track))
-                         return obs::track_rank(a.track) <
-                                obs::track_rank(b.track);
-                       return a.t < b.t;
-                     });
+    sort_profile(trace->profile);
   }
 
   if (perf != nullptr) {
@@ -467,9 +478,7 @@ struct RoutedShard {
   util::SpscRing<ShardBatch*> free_ring{kBatchesPerShard};
   std::vector<std::unique_ptr<ShardBatch>> arenas;
   std::uint32_t shard = 0;
-  /// kProfile stage sampling (obs profile), shared run-wide time origin.
-  bool profiling = false;
-  PerfClock::time_point prof_t0{};
+  const FleetSetup* setup = nullptr; ///< profiling switch and time origin
   // Outputs, read after join.
   RunResult partial;
   std::exception_ptr error;
@@ -478,12 +487,14 @@ struct RoutedShard {
   double wait_s = 0.0;
   std::vector<obs::TraceEvent> prof; ///< kProfRingWait / kProfWorkerReplay
 
-  void init() {
-    arenas.reserve(kBatchesPerShard);
-    for (std::size_t i = 0; i < kBatchesPerShard; ++i) {
+  /// `count` <= kBatchesPerShard arenas: the router can run that many
+  /// windows ahead of the worker.
+  void init(std::size_t count) {
+    arenas.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
       arenas.push_back(std::make_unique<ShardBatch>());
       ShardBatch* arena = arenas.back().get();
-      free_ring.try_push(arena); // capacity == arena count: cannot fail
+      free_ring.try_push(arena); // capacity >= arena count: cannot fail
     }
   }
 
@@ -497,9 +508,40 @@ struct RoutedShard {
     }
   }
 
+  /// Replay one published batch into the shard calendar and recycle its
+  /// arena; on the final batch, finalize the shard and return true.  The
+  /// ring consumer calls it on a worker thread; a one-shard run calls it
+  /// on the router thread straight after filling each window.
+  bool replay(ShardBatch* batch) {
+    const bool profiling = setup->profiling;
+    const double r0 = profiling ? seconds_since(setup->prof_t0) : 0.0;
+    for (std::size_t i = 0; i < batch->size(); ++i) {
+      sim->advance(batch->time[i]);
+      sim->submit(batch->local_disk[i], batch->request_id[i],
+                  batch->bytes[i], batch->lba[i], batch->blocks[i],
+                  batch->background[i] != 0);
+    }
+    const bool final = batch->final;
+    if (!final && batch->advance_to > sim->now()) {
+      sim->advance(batch->advance_to);
+    }
+    batch->reset();
+    free_ring.try_push(batch); // capacity >= arena count: cannot fail
+    if (profiling) {
+      prof.push_back(obs::TraceEvent{r0, batches,
+                                     seconds_since(setup->prof_t0) - r0, 0.0,
+                                     shard, obs::Kind::kProfile,
+                                     obs::kProfWorkerReplay});
+    }
+    if (final) partial = sim->finalize();
+    return final;
+  }
+
 private:
   void consume() {
     const auto t0 = PerfClock::now();
+    const bool profiling = setup->profiling;
+    const auto prof_t0 = setup->prof_t0;
     for (;;) {
       ShardBatch* batch = nullptr;
       const auto w0 = PerfClock::now();
@@ -512,27 +554,8 @@ private:
             wait0, batches, seconds_since(prof_t0) - wait0, 0.0, shard,
             obs::Kind::kProfile, obs::kProfRingWait});
       }
-      const double r0 = profiling ? seconds_since(prof_t0) : 0.0;
-      for (std::size_t i = 0; i < batch->size(); ++i) {
-        sim->advance(batch->time[i]);
-        sim->submit(batch->local_disk[i], batch->request_id[i],
-                    batch->bytes[i], batch->lba[i], batch->blocks[i],
-                    batch->background[i] != 0);
-      }
-      const bool final = batch->final;
-      if (!final && batch->advance_to > sim->now()) {
-        sim->advance(batch->advance_to);
-      }
-      batch->reset();
-      free_ring.try_push(batch); // capacity == arena count: cannot fail
-      if (profiling) {
-        prof.push_back(obs::TraceEvent{
-            r0, batches, seconds_since(prof_t0) - r0, 0.0, shard,
-            obs::Kind::kProfile, obs::kProfWorkerReplay});
-      }
-      if (final) break;
+      if (replay(batch)) break;
     }
-    partial = sim->finalize();
     busy_s = seconds_since(t0) - wait_s;
   }
 };
@@ -587,20 +610,20 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
   const std::uint32_t shards = setup.shards;
   const double horizon = setup.horizon;
 
-  const std::uint32_t mask = trace != nullptr ? config.obs.kind_mask() : 0;
-  const std::uint32_t sim_mask = mask & ~obs::kind_bit(obs::Kind::kProfile);
-  const bool profiling = trace != nullptr && config.obs.profile;
-  const auto prof_t0 = PerfClock::now();
+  // One shard: the router replays each window itself instead of handing
+  // it to a worker, so the run starts no thread.
+  const bool inline_replay = shards == 1;
 
   std::vector<std::unique_ptr<RoutedShard>> states;
   states.reserve(shards);
   for (std::uint32_t w = 0; w < shards; ++w) {
     auto state = std::make_unique<RoutedShard>();
-    state->sim = setup.make_sim(config, w, sim_mask);
+    state->sim = setup.make_sim(config, w);
     state->shard = w;
-    state->profiling = profiling;
-    state->prof_t0 = prof_t0;
-    state->init();
+    state->setup = &setup;
+    // Inline replay drains each window before the next is filled, so one
+    // recycled arena suffices.
+    state->init(inline_replay ? 1 : kBatchesPerShard);
     states.push_back(std::move(state));
   }
 
@@ -610,9 +633,9 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
 
   // The router is the fleet's dispatcher: it owns the cache and performs
   // every routing decision in global arrival order, so the dispatcher-track
-  // span events (cache hit/miss) are emitted here — same gate and fields as
-  // Dispatcher::dispatch, hence bit-identical to the single-calendar path.
-  obs::TraceBuffer router_trace{sim_mask};
+  // span events (cache hit/miss) are emitted here, in the same order at any
+  // shard count.
+  obs::TraceBuffer router_trace{setup.sim_mask};
   const bool span_trace =
       cache != nullptr && router_trace.wants(obs::Kind::kSpan);
   // Orchestration: the controller rewrites the post-cache arrival stream in
@@ -636,9 +659,11 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
 
   {
     std::vector<std::jthread> workers;
-    workers.reserve(shards);
-    for (auto& state : states) {
-      workers.emplace_back([s = state.get()] { s->run(); });
+    if (!inline_replay) {
+      workers.reserve(shards);
+      for (auto& state : states) {
+        workers.emplace_back([s = state.get()] { s->run(); });
+      }
     }
     const auto t0 = PerfClock::now();
     try {
@@ -655,9 +680,16 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
         return arena;
       };
       const auto publish = [&](std::uint32_t shard, ShardBatch* arena) {
-        auto& ring = states[shard]->full;
-        ring.try_push(arena); // holds a popped arena: cannot be full
-        high_water[shard] = std::max(high_water[shard], ring.size());
+        auto& state = *states[shard];
+        if (inline_replay) {
+          const auto r0 = PerfClock::now();
+          ++state.batches;
+          state.replay(arena);
+          state.busy_s += seconds_since(r0);
+          return;
+        }
+        state.full.try_push(arena); // holds a popped arena: cannot be full
+        high_water[shard] = std::max(high_water[shard], state.full.size());
       };
 
       // Conservative windows: route all arrivals below each frontier, then
@@ -668,30 +700,36 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
       workload::WindowedStream windowed{*stream};
       workload::RequestBlock block;
       std::vector<ShardBatch*> current(shards, nullptr);
+      const auto push_subs = [&] {
+        for (const auto& sub : subs) {
+          current[sub.disk % shards]->push(sub.t, sub.request_id, sub.bytes,
+                                           sub.lba, sub.blocks,
+                                           sub.disk / shards, sub.background);
+        }
+      };
+      const auto publish_all = [&](double advance_to) {
+        for (std::uint32_t w = 0; w < shards; ++w) {
+          current[w]->advance_to = advance_to;
+          publish(w, current[w]);
+          current[w] = nullptr;
+        }
+      };
       double frontier = 0.0;
       while (!windowed.exhausted()) {
-        const double f0 = profiling ? seconds_since(prof_t0) : 0.0;
-        frontier += window;
-        if (windowed.next_arrival() >= frontier) {
-          // Idle stretch: jump the frontier to the next arrival's window
-          // instead of shipping empty windows one by one.
-          frontier = windowed.next_arrival() + window;
-        }
-        block.clear();
-        windowed.fill(frontier, std::numeric_limits<std::size_t>::max(),
-                      block);
+        const double f0 =
+            setup.profiling ? seconds_since(setup.prof_t0) : 0.0;
+        frontier = fill_window(windowed, frontier, window, block);
         for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
         // Whole-window decision batch: every cache access and mapping
-        // lookup happens here, in global arrival order — exactly the
-        // sequence the single-calendar path sees — before anything is
+        // lookup happens here, in global arrival order, before anything is
         // published.
         for (std::size_t i = 0; i < block.size(); ++i) {
           ++dispatched;
           const auto& file = config.catalog->by_id(block.file[i]);
           if (cache != nullptr && cache->access(file.id, file.size)) {
-            // Cache hit, served from memory with zero latency (the only
-            // latency the experiment path configures): recorded here, in
-            // arrival order, exactly as the single-calendar path does.
+            // Cache hit, served from memory with zero latency: the disks
+            // never see it, and its response is recorded here, in arrival
+            // order.
             if (span_trace) {
               router_trace.emit(obs::Kind::kSpan, obs::kSpanCacheHit,
                                 block.arrival[i], obs::kDispatcherTrack,
@@ -718,12 +756,7 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
             subs.clear();
             controller->flush_deadlines(block.arrival[i], subs);
             controller->route(block.arrival[i], block.id[i], file, subs);
-            for (const auto& sub : subs) {
-              current[sub.disk % shards]->push(sub.t, sub.request_id,
-                                               sub.bytes, sub.lba,
-                                               sub.blocks, sub.disk / shards,
-                                               sub.background);
-            }
+            push_subs();
             continue;
           }
           current[disk % shards]->push(block.arrival[i], block.id[i],
@@ -736,21 +769,12 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
           // >= frontier) still land after them.
           subs.clear();
           controller->flush_deadlines(frontier, subs);
-          for (const auto& sub : subs) {
-            current[sub.disk % shards]->push(sub.t, sub.request_id,
-                                             sub.bytes, sub.lba, sub.blocks,
-                                             sub.disk / shards,
-                                             sub.background);
-          }
+          push_subs();
         }
-        for (std::uint32_t w = 0; w < shards; ++w) {
-          current[w]->advance_to = frontier;
-          publish(w, current[w]);
-          current[w] = nullptr;
-        }
-        if (profiling) {
+        publish_all(frontier);
+        if (setup.profiling) {
           router_prof.push_back(obs::TraceEvent{
-              f0, window_idx, seconds_since(prof_t0) - f0, 0.0,
+              f0, window_idx, seconds_since(setup.prof_t0) - f0, 0.0,
               obs::kDispatcherTrack, obs::Kind::kProfile,
               obs::kProfRouterFill});
         }
@@ -764,17 +788,8 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
         controller->flush_deadlines(horizon, subs);
         if (!subs.empty()) {
           for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
-          for (const auto& sub : subs) {
-            current[sub.disk % shards]->push(sub.t, sub.request_id,
-                                             sub.bytes, sub.lba, sub.blocks,
-                                             sub.disk / shards,
-                                             sub.background);
-          }
-          for (std::uint32_t w = 0; w < shards; ++w) {
-            current[w]->advance_to = horizon;
-            publish(w, current[w]);
-            current[w] = nullptr;
-          }
+          push_subs();
+          publish_all(horizon);
         }
       }
       for (std::uint32_t w = 0; w < shards; ++w) {
@@ -805,11 +820,11 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
   if (cache != nullptr) root.cache = cache->stats();
   root.recompute_from_per_disk(root_hist);
 
-  if (trace != nullptr && mask != 0) {
+  if (trace != nullptr) {
     trace->horizon_s = horizon;
     trace->shards = shards;
     trace->workers = shards;
-    if (sim_mask != 0) {
+    if (setup.sim_mask != 0) {
       std::vector<obs::TraceBuffer*> buffers;
       buffers.reserve(1 + shards);
       buffers.push_back(&router_trace);
@@ -824,13 +839,7 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
       trace->profile.insert(trace->profile.end(), state->prof.begin(),
                             state->prof.end());
     }
-    std::stable_sort(trace->profile.begin(), trace->profile.end(),
-                     [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
-                       if (obs::track_rank(a.track) != obs::track_rank(b.track))
-                         return obs::track_rank(a.track) <
-                                obs::track_rank(b.track);
-                       return a.t < b.t;
-                     });
+    sort_profile(trace->profile);
   }
 
   std::vector<RunResult> partials;
@@ -840,7 +849,10 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
 
   if (perf != nullptr) {
     perf->workers = shards;
-    perf->router_busy_s = std::max(0.0, router_wall - router_stall);
+    // Inline replay ran on the router thread: charge it to the worker.
+    const double replayed = inline_replay ? states[0]->busy_s : 0.0;
+    perf->router_busy_s =
+        std::max(0.0, router_wall - router_stall - replayed);
     perf->router_stall_s = router_stall;
     perf->per_shard.resize(shards);
     perf->worker_busy_s.assign(shards, 0.0);
@@ -861,8 +873,7 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
 } // namespace
 
 FleetPath classify_fleet_path(const ExperimentConfig& config) {
-  return config.cache.shard_decomposable() && !config.dynamic_routing &&
-                 !config.orch.enabled()
+  return config.cache.shard_decomposable() && !config.orch.enabled()
              ? FleetPath::kShardLocal
              : FleetPath::kRouted;
 }
@@ -897,14 +908,8 @@ std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
   for (const auto d : config.mapping) {
     if (d >= config.num_disks) {
       throw std::invalid_argument{
-          "StorageSystem: mapping references disk >= num_disks"};
+          "run_fleet: mapping references disk >= num_disks"};
     }
-  }
-  const double horizon = config.workload.measurement_horizon();
-  if (horizon <= 0.0) {
-    throw std::invalid_argument{
-        "run_fleet: needs a positive measurement horizon (whole-episode "
-        "measurement is a single-calendar feature)"};
   }
   if (path == FleetPath::kShardLocal &&
       classify_fleet_path(config) != FleetPath::kShardLocal) {
@@ -916,28 +921,23 @@ std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
   shards = std::max<std::uint32_t>(
       1, std::min(shards, std::max<std::uint32_t>(1, config.num_disks)));
 
-  const FleetSetup setup{config, shards};
+  if (trace != nullptr && !config.obs.enabled()) trace = nullptr;
+  const FleetSetup setup{config, shards, trace};
   if (perf != nullptr) {
     *perf = FleetPerf{};
     perf->path = path;
     perf->shards = shards;
   }
-  if (trace != nullptr && !config.obs.enabled()) trace = nullptr;
   return path == FleetPath::kShardLocal
              ? run_shard_local(config, setup, perf, trace)
              : run_routed(config, setup, perf, trace);
 }
 
-std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
-                                          std::uint32_t shards) {
-  return run_fleet_partials(config, shards, classify_fleet_path(config));
-}
-
 RunResult run_fleet(const ExperimentConfig& config, std::uint32_t shards,
                     FleetPath path, FleetPerf* perf, obs::RunTrace* trace) {
   auto partials = run_fleet_partials(config, shards, path, perf, trace);
-  RunResult result;
-  for (const auto& p : partials) result.merge(p);
+  RunResult result = std::move(partials.front());
+  for (std::size_t i = 1; i < partials.size(); ++i) result.merge(partials[i]);
   return result;
 }
 

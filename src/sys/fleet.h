@@ -1,66 +1,47 @@
-// fleet.h — one scenario, many calendars: sharded simulation of a disk farm.
+// fleet.h — the simulation engine: one scenario on one or more calendars.
 //
-// A single run's event calendar is partitioned into per-disk-group
-// sub-simulations (one des::Simulation per shard, reusing the pooled
-// calendar unchanged; disk d lives in shard d % shards).  The cut is clean
-// because the system's coupling is one-directional: disks interact only
-// through the dispatcher/cache *at arrival time* (the cache mutates when a
-// request is routed, never when it completes), and a completion never feeds
-// back into shared state.  Two execution pipelines exploit that, chosen by
-// classify_fleet_path():
+// Every run_experiment() lands here.  The event calendar is partitioned
+// into per-disk-group sub-simulations (one des::Simulation per shard; disk
+// d lives in shard d % shards, so shards=1 is one calendar holding every
+// disk).  The cut is clean because the coupling is one-directional: disks
+// interact only through the cache and orchestration *at arrival time*, and
+// a completion never feeds back into shared state.  classify_fleet_path()
+// picks one of two pipelines:
 //
-//   * kShardLocal (the routerless fast path) — when the scenario is
-//     *shard-decomposable*: no front cache (CacheSpec::shard_decomposable)
-//     and a placement that resolved to a static file→disk map
-//     (PlacementSpec::static_mapping; every built-in placement does).
-//     Routing a request is then the pure function mapping[file] — no
-//     arrival-order shared state exists — so workers generate arrivals
-//     themselves and submit locally: no router thread, no conservative
-//     windows, no mailboxes, zero cross-thread traffic on the hot path.
-//     The synthetic arrival draws are one global RNG stream (arrival times
-//     interleave with file choices), so a worker replays the *whole*
-//     stream and keeps the arrivals its disks own; to keep that replicated
-//     generation off the critical path on small hosts, the shard calendars
-//     — which are fully independent here — are multiplexed onto
-//     min(shards, hardware_concurrency) worker threads, each generating
-//     the stream once for all the shards it drives.  Worker grouping is an
-//     execution detail: every per-shard result is a function of the shard
-//     partition alone.
+//   * kShardLocal (routerless) — no front cache and no orchestration, so
+//     routing is the pure function mapping[file].  Workers generate
+//     arrivals themselves and submit locally: no router, no windows, no
+//     cross-thread traffic.  The arrival draws are one global RNG stream,
+//     so a worker replays the whole stream and keeps the arrivals its
+//     shards own; the independent shard calendars are multiplexed onto
+//     min(shards, hardware_concurrency) workers, worker 0 on the calling
+//     thread.
 //
-//   * kRouted (the pipelined router) — when a front cache makes routing
-//     depend on global arrival order.  The router thread generates
-//     arrivals in conservative time windows, performs every cache access
-//     and mapping lookup in arrival order (exactly the sequence the
-//     single-calendar path sees), batches a whole window of decisions, and
-//     publishes each shard's pre-routed batch over a lock-free SPSC ring
-//     (util/spsc_ring.h); a second ring per shard recycles drained batch
-//     arenas back to the router, so the router fills window N+1 while
-//     workers drain window N and the steady state allocates nothing.
-//     Because the minimum cross-shard latency is infinite (no feedback
-//     path), any window length is causally safe; the window bounds
-//     router/worker skew and batch memory, never correctness.
+//   * kRouted (pipelined router) — a cache or the orchestration controller
+//     makes routing depend on global arrival order.  The router (the
+//     calling thread) generates arrivals in conservative time windows,
+//     makes every cache, mapping and orchestration decision in arrival
+//     order, and publishes each shard's pre-routed batch over a lock-free
+//     SPSC ring (util/spsc_ring.h) to one worker thread per shard; a second
+//     ring recycles drained batch arenas, so the steady state allocates
+//     nothing.  At one shard the router replays each window itself, through
+//     the workers' replay step.  With no feedback path any window length is
+//     causally safe; it bounds skew and batch memory, never correctness.
 //
-// Determinism: results are bit-identical on both paths, at every shard
-// count, and to the single-calendar path, because
-//   * each disk's RNG is split from the farm RNG in disk-id order,
-//     independent of the shard partition and of which pipeline runs;
-//   * synthetic arrival streams are replayed draw-for-draw (the router
-//     pulls one stream; each fast-path worker pulls an identical clone);
-//   * within a shard, replay uses run_until(arrival) + submit(), so
-//     pending disk events at t <= arrival always execute before a
-//     submission at t — a fixed tie rule that does not depend on how many
-//     shards exist (the single calendar orders such measure-zero FP ties
-//     by insertion sequence instead; synthetic arrival times are
-//     continuous, so the two rules agree);
+// A one-shard run, on either pipeline, starts no thread.
+//
+// Determinism: results are bit-identical on both pipelines and at every
+// shard count, because
+//   * each disk's RNG is split from the farm RNG in disk-id order;
+//   * arrival streams are replayed draw-for-draw (the router pulls one
+//     stream; each routerless worker pulls an identical clone);
+//   * within a shard, replay uses run_until(arrival) + submit(), so pending
+//     disk events at t <= arrival always run before a submission at t —
+//     one tie rule whatever the shard count or pipeline;
 //   * aggregation is canonical (RunResult::recompute_from_per_disk):
-//     moments fold in disk-id order, histograms merge bin-wise, so neither
-//     completion interleaving nor merge order can leak into the result.
-//
-// The per-request arithmetic is identical to the sequential path; sharding
-// buys wall-clock only.  `events` (calendar events executed) is the one
-// RunResult field that differs from the single calendar: both fleet paths
-// dispatch arrivals without scheduling them as events (and execute the
-// same event count as each other).
+//     moments fold in disk-id order and histograms merge bin-wise.
+// Arrivals are routed without calendar events, so `events` counts disk
+// work only and is shard-invariant too.
 #pragma once
 
 #include <cstdint>
@@ -79,8 +60,7 @@ enum class FleetPath {
 
 /// Classify `config`: kShardLocal iff routing decisions are
 /// shard-decomposable — no front cache (CacheSpec::shard_decomposable) and
-/// a static placement mapping (ExperimentConfig::dynamic_routing false,
-/// which every built-in placement resolution guarantees).
+/// orchestration off (replicas alone never change where a request goes).
 FleetPath classify_fleet_path(const ExperimentConfig& config);
 
 /// Pipeline diagnostics for one fleet run: wall-clock and occupancy
@@ -126,30 +106,28 @@ inline constexpr std::uint32_t kAutoMinDisksPerShard = 32;
 /// element 0 is the generator-side partial (request count, cache stats,
 /// cache-hit response moments), elements 1..shards are the disk groups
 /// (disk d lives in shard d % shards).  Folding the partials with
-/// RunResult::merge — in any order — reproduces the single-calendar
-/// result; run_fleet() does exactly that.  `path` selects the pipeline;
+/// RunResult::merge — in any order — reproduces the one-shard result;
+/// run_fleet() does exactly that.  `path` selects the pipeline;
 /// forcing kShardLocal on a non-decomposable config throws
 /// std::invalid_argument (the fast path cannot replay cache decisions).
 /// `perf`, when non-null, receives the run's pipeline diagnostics.
 /// `trace`, when non-null and config.obs enables any kind, receives the
 /// canonical sim-time event stream (obs::append_canonical order —
-/// bit-identical at any shard count on either pipeline, and to the
-/// single-calendar path) plus, when config.obs.profile is set, wall-clock
-/// pipeline stage samples in RunTrace::profile.
-/// Requires a positive measurement horizon (every built-in workload has
-/// one).  Throws std::invalid_argument on config errors.
+/// bit-identical at any shard count on either pipeline) plus, when
+/// config.obs.profile is set, wall-clock pipeline stage samples in
+/// RunTrace::profile.
+/// Requires a positive, finite measurement horizon
+/// (WorkloadSpec::measurement_horizon).  Throws std::invalid_argument on
+/// config errors.
 std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
                                           std::uint32_t shards,
                                           FleetPath path,
                                           FleetPerf* perf = nullptr,
                                           obs::RunTrace* trace = nullptr);
-/// As above with path = classify_fleet_path(config).
-std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
-                                          std::uint32_t shards);
 
 /// Run `config` sharded `shards` ways (>= 1; not auto-resolved) and return
-/// the merged result.  Bit-identical to run_experiment with shards == 1 on
-/// every physical field, whichever pipeline runs.
+/// the merged result.  Bit-identical to run_experiment at any shard count,
+/// whichever pipeline runs.
 RunResult run_fleet(const ExperimentConfig& config, std::uint32_t shards,
                     FleetPath path, FleetPerf* perf = nullptr,
                     obs::RunTrace* trace = nullptr);

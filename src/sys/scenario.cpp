@@ -658,10 +658,6 @@ ResolvedScenario ScenarioCache::resolve(const ScenarioSpec& spec) {
   cfg.seed = spec.seed;
   cfg.shards = spec.shards;
   cfg.obs = spec.obs;
-  // The base placement resolved to the static mapping vector above (replica
-  // 0); k > 1 makes routing per-request — replica-aware redirection picks a
-  // copy at arrival time — so the run must take the fleet router.
-  cfg.dynamic_routing = !spec.placement.static_mapping();
   cfg.replicas = spec.placement.replicas;
   cfg.orch = spec.orch;
   // The off-load tier appends its always-on log disks after the data

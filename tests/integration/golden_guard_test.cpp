@@ -12,6 +12,12 @@
 // The three configurations cover the branches of the default path:
 // break-even spin-down, an aggressive fixed threshold (spin-up churn), and
 // never-spin-down behind an LRU front cache (cache hits bypass the disks).
+// A fourth guard pins the paper's own setting — NERSC-like trace replay
+// behind an LRU cache — under a geometry-aware scheduler (SSTF).
+//
+// `events` (calendar events executed) is pinned too, so a change that
+// costs an extra calendar event per request fails here even when every
+// physical number survives.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -19,6 +25,7 @@
 #include "core/normalize.h"
 #include "core/pack_disks.h"
 #include "sys/experiment.h"
+#include "sys/scenario.h"
 #include "sys/sweep.h"
 #include "workload/catalog.h"
 
@@ -37,7 +44,30 @@ struct Golden {
   double resp_max;
   double resp_p99;
   std::uint64_t cache_hits;
+  std::uint64_t events;
 };
+
+void expect_golden(const RunResult& r, const Golden& g) {
+  EXPECT_EQ(r.requests, g.requests);
+  std::uint64_t served = 0;
+  for (const auto& m : r.per_disk) served += m.served;
+  EXPECT_EQ(served, g.served_sum);
+  EXPECT_EQ(r.completed_at_horizon, g.served_sum);
+  // Horizon accounting: every request is exactly one of completed,
+  // in flight, or a cache hit at the snapshot.
+  EXPECT_EQ(r.completed_at_horizon + r.in_flight_at_horizon + r.cache.hits,
+            g.requests);
+  EXPECT_DOUBLE_EQ(r.power.energy, g.energy);
+  EXPECT_DOUBLE_EQ(r.power.saving_vs_always_on, g.saving);
+  EXPECT_EQ(r.power.spin_ups, g.spin_ups);
+  EXPECT_EQ(r.power.spin_downs, g.spin_downs);
+  EXPECT_EQ(r.response.count(), g.resp_count);
+  EXPECT_DOUBLE_EQ(r.response.mean(), g.resp_mean);
+  EXPECT_DOUBLE_EQ(r.response.max(), g.resp_max);
+  EXPECT_DOUBLE_EQ(r.response.p99(), g.resp_p99);
+  EXPECT_EQ(r.cache.hits, g.cache_hits);
+  EXPECT_EQ(r.events, g.events);
+}
 
 // Captured 2026-07-29 from the pre-refactor simulator (see file comment).
 // Re-derived 2026-08-07 for the fleet-sharding PR: result aggregation became
@@ -46,17 +76,31 @@ struct Golden {
 // instead of farm-total), so `saving` and `resp_mean` moved by a few ulps.
 // Event order, per-request response times, energy integrals, counts, and
 // the histogram (max/p99) are bit-identical to the pre-refactor capture.
+// `events` pinned 2026-10-17 when every run moved onto the fleet engine:
+// arrivals are routed without calendar events, so each run executes
+// exactly requests + 1 fewer events than the retired single-calendar
+// engine did (3114 / 3348 / 2876: one arrival event per request plus the
+// horizon-snapshot event); every other field is unchanged.
 constexpr Golden kGolden[3] = {
     // break-even policy, no cache
     {979, 850, 333869.73696331761, -0.012003370049414652, 36, 36, 979,
-     87.484344294067441, 445.03087415307198, 372.42100000000005, 0},
+     87.484344294067441, 445.03087415307198, 372.42100000000005, 0, 2134},
     // fixed 10 s threshold, no cache
     {979, 841, 334767.04675768159, -0.01672900557172019, 114, 116, 979,
-     93.809647009646525, 445.03087415307198, 373.92100000000005, 0},
+     93.809647009646525, 445.03087415307198, 373.92100000000005, 0, 2368},
     // never spin down, 30 GB LRU front cache
     {979, 828, 328848.00923895644, 2.2204460492503131e-16, 0, 0, 979,
-     79.066762766230838, 416.47659966191691, 362.92100000000005, 31},
+     79.066762766230838, 416.47659966191691, 362.92100000000005, 31, 1896},
 };
+
+// Captured 2026-10-17 from the single-calendar engine just before its
+// removal (events: 22173 there, requests + 1 more than the fleet engine's).
+constexpr const char* kNerscScenario =
+    "catalog=nersc(4000,6000,20090531) load=0.8 placement=pack "
+    "workload=replay cache=lru:2g sched=sstf policy=fixed:60 seed=3";
+constexpr Golden kNerscGolden = {
+    6000, 5473, 12497673.187078938, 0.89643055979266018, 1738, 1742, 6000,
+    33.060461212812427, 2077.206851025112, 518.30000000000007, 526, 16172};
 
 TEST(GoldenGuard, FcfsDefaultReproducesPreRefactorSweepExactly) {
   workload::SyntheticSpec spec = workload::SyntheticSpec::paper_table1();
@@ -93,27 +137,17 @@ TEST(GoldenGuard, FcfsDefaultReproducesPreRefactorSweepExactly) {
 
   for (int i = 0; i < 3; ++i) {
     SCOPED_TRACE("config " + std::to_string(i));
-    const auto& r = results[i];
-    const auto& g = kGolden[i];
-    EXPECT_EQ(r.requests, g.requests);
-    std::uint64_t served = 0;
-    for (const auto& m : r.per_disk) served += m.served;
-    EXPECT_EQ(served, g.served_sum);
-    EXPECT_EQ(r.completed_at_horizon, g.served_sum);
-    // Horizon accounting: every request is exactly one of completed,
-    // in flight, or a cache hit at the snapshot.
-    EXPECT_EQ(r.completed_at_horizon + r.in_flight_at_horizon + r.cache.hits,
-              g.requests);
-    EXPECT_DOUBLE_EQ(r.power.energy, g.energy);
-    EXPECT_DOUBLE_EQ(r.power.saving_vs_always_on, g.saving);
-    EXPECT_EQ(r.power.spin_ups, g.spin_ups);
-    EXPECT_EQ(r.power.spin_downs, g.spin_downs);
-    EXPECT_EQ(r.response.count(), g.resp_count);
-    EXPECT_DOUBLE_EQ(r.response.mean(), g.resp_mean);
-    EXPECT_DOUBLE_EQ(r.response.max(), g.resp_max);
-    EXPECT_DOUBLE_EQ(r.response.p99(), g.resp_p99);
-    EXPECT_EQ(r.cache.hits, g.cache_hits);
+    expect_golden(results[i], kGolden[i]);
   }
+}
+
+TEST(GoldenGuard, NerscReplayBehindLruUnderSstfIsPinned) {
+  const auto r = run_scenario(ScenarioSpec::parse(kNerscScenario));
+  expect_golden(r, kNerscGolden);
+  // Every physical number is shard-invariant, `events` included.
+  const auto sharded =
+      run_scenario(ScenarioSpec::parse(kNerscScenario).with("shards", "3"));
+  expect_golden(sharded, kNerscGolden);
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 // Shard-count bit-identity of the canonical trace stream: the sim-time
 // events recorded by a sharded fleet run — on either pipeline — must equal
-// the single-calendar run's trace exactly (TraceEvent field-wise equality),
+// the one-shard run's trace exactly (TraceEvent field-wise equality),
 // mirroring the RunResult invariance contract in tests/sys/fleet_test.cpp.
 #include "obs/trace.h"
 
@@ -69,8 +69,7 @@ TEST(TraceFleetIdentity, RouterlessPathMatchesSingleCalendar) {
                                   nullptr, &sharded);
     expect_same_trace(single, sharded,
                       "shard-local, shards=" + std::to_string(shards));
-    // `events` is the one field allowed to differ between the single
-    // calendar and the fleet paths (fleet.h) — compare physics instead.
+    EXPECT_EQ(r.events, base.events);
     EXPECT_EQ(r.requests, base.requests);
     EXPECT_DOUBLE_EQ(r.power.energy, base.power.energy);
   }
@@ -99,6 +98,7 @@ TEST(TraceFleetIdentity, RoutedPathMatchesSingleCalendar) {
                                   nullptr, &sharded);
     expect_same_trace(single, sharded,
                       "routed, shards=" + std::to_string(shards));
+    EXPECT_EQ(r.events, base.events);
     EXPECT_EQ(r.cache.hits, base.cache.hits);
     EXPECT_DOUBLE_EQ(r.power.energy, base.power.energy);
   }
@@ -107,7 +107,7 @@ TEST(TraceFleetIdentity, RoutedPathMatchesSingleCalendar) {
 TEST(TraceFleetIdentity, ForcedRouterOnDecomposableConfigMatchesToo) {
   // cache=none normally takes the fast path; forcing the router must
   // produce the same trace — the dispatcher track is simply empty (no
-  // cache, no hit/miss events), exactly like the single-calendar path.
+  // cache, no hit/miss events), exactly like the routerless run.
   const auto cat = fleet_catalog();
   auto cfg = fleet_config(cat, 16);
 

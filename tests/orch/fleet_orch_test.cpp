@@ -36,7 +36,6 @@ ExperimentConfig orch_config(const workload::FileCatalog& cat) {
   cfg.orch = OrchSpec::parse("redirect+offload:1:120+budget:p99:5");
   cfg.num_disks = 6 + cfg.orch.log_disks;
   cfg.replicas = 2;
-  cfg.dynamic_routing = true;
   cfg.workload = WorkloadSpec::poisson(0.8, 200.0);
   cfg.seed = 17;
   return cfg;
@@ -138,7 +137,6 @@ TEST(OrchFleet, ForegroundStatsExcludeBackgroundDestages) {
   off.orch = OrchSpec::off();
   off.num_disks = 6;
   off.replicas = 1;
-  off.dynamic_routing = false;
   const auto without = run_experiment(off);
 
   EXPECT_EQ(with_orch.requests, without.requests);
@@ -152,18 +150,21 @@ TEST(OrchFleet, ReplicasWithoutOrchestrationAreInert) {
   // Replica copies are laid out after the primary extents, so a run that
   // carries replicas=2 but no orchestration is byte-for-byte the
   // replicas=1 run: nothing reads the copies, nothing moved the originals.
+  // Routing ignores the copies too, so the run keeps the routerless path;
+  // the router, forced, agrees.
   const auto cat = fleet_catalog();
   auto plain = orch_config(cat);
   plain.orch = OrchSpec::off();
   plain.num_disks = 6;
   plain.replicas = 1;
-  plain.dynamic_routing = false;
   const auto baseline = run_experiment(plain);
 
   auto replicated = plain;
   replicated.replicas = 2;
-  replicated.dynamic_routing = true; // what scenario resolution would set
+  EXPECT_EQ(classify_fleet_path(replicated), FleetPath::kShardLocal);
   expect_same_physical(baseline, run_experiment(replicated));
+  expect_same_physical(baseline,
+                       run_fleet(replicated, 1, FleetPath::kRouted));
 }
 
 TEST(OrchFleet, ScenarioStringDrivesTheWholeStack) {
@@ -181,7 +182,6 @@ TEST(OrchFleet, ScenarioStringDrivesTheWholeStack) {
   EXPECT_DOUBLE_EQ(cfg.orch.destage_deadline_s, 120.0);
   EXPECT_DOUBLE_EQ(cfg.orch.slo_p99_s, 0.5);
   EXPECT_EQ(cfg.replicas, 2u);
-  EXPECT_TRUE(cfg.dynamic_routing); // replicas=2 is a per-request placement
   EXPECT_EQ(classify_fleet_path(cfg), FleetPath::kRouted);
 
   // The log tier appends to whatever the placement allocated.

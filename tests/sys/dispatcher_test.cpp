@@ -1,9 +1,17 @@
-#include "sys/dispatcher.h"
-
+// The file-dispatch stage (§4: "the file dispatcher forwards [each request]
+// to the corresponding disk based on the file-to-disk mapping table"),
+// checked end to end through run_experiment: routing by the mapping,
+// mapping validation, layout LBA stamping and its explicit trace override,
+// and front-cache hits that never reach a disk.
 #include <gtest/gtest.h>
 
-#include "cache/lru.h"
+#include <algorithm>
+#include <vector>
+
+#include "obs/trace.h"
+#include "sys/experiment.h"
 #include "util/units.h"
+#include "workload/trace.h"
 
 namespace spindown::sys {
 namespace {
@@ -18,165 +26,134 @@ protected:
     };
     catalog_ = workload::FileCatalog{files};
     params_ = disk::DiskParams::st3500630as();
-    for (std::uint32_t i = 0; i < 2; ++i) {
-      disks_.push_back(std::make_unique<disk::Disk>(
-          sim_, i, params_, disk::make_never_policy(), util::Rng{i}));
-      disks_.back()->set_completion_callback(
-          [this](const disk::Completion& c) { completions_.push_back(c); });
+  }
+
+  /// Replay `trace` on `mapping` over never-sleeping disks.
+  ExperimentConfig config(const workload::Trace& trace,
+                          std::vector<std::uint32_t> mapping,
+                          std::uint32_t num_disks = 2) const {
+    ExperimentConfig cfg;
+    cfg.catalog = &catalog_;
+    cfg.mapping = std::move(mapping);
+    cfg.num_disks = num_disks;
+    cfg.params = params_;
+    cfg.policy = PolicySpec::never();
+    cfg.workload = WorkloadSpec::replay(trace);
+    return cfg;
+  }
+
+  workload::Trace trace(std::vector<workload::TraceRecord> records) const {
+    return workload::Trace{catalog_, std::move(records)};
+  }
+
+  /// Request ids in the order their completions were delivered.
+  static std::vector<std::uint64_t> completion_order(
+      const ExperimentConfig& cfg) {
+    auto traced = cfg;
+    traced.obs.spans = true;
+    obs::RunTrace out;
+    run_experiment(traced, &out);
+    std::vector<const obs::TraceEvent*> done;
+    for (const auto& e : out.events) {
+      if (e.kind == obs::Kind::kSpan && e.code == obs::kSpanComplete) {
+        done.push_back(&e);
+      }
     }
+    std::stable_sort(done.begin(), done.end(),
+                     [](const auto* a, const auto* b) { return a->t < b->t; });
+    std::vector<std::uint64_t> ids;
+    for (const auto* e : done) ids.push_back(e->id);
+    return ids;
   }
 
-  std::vector<disk::Disk*> disk_ptrs() {
-    std::vector<disk::Disk*> out;
-    for (auto& d : disks_) out.push_back(d.get());
-    return out;
-  }
-
-  workload::Request req(std::uint64_t id, workload::FileId f, double t) {
-    workload::Request r;
-    r.id = id;
-    r.file = f;
-    r.arrival = t;
-    return r;
-  }
-
-  des::Simulation sim_;
   workload::FileCatalog catalog_;
   disk::DiskParams params_;
-  std::vector<std::unique_ptr<disk::Disk>> disks_;
-  std::vector<disk::Completion> completions_;
 };
 
 TEST_F(DispatcherFixture, RoutesByMappingTable) {
-  Dispatcher d{sim_, catalog_, {0, 1, 0}, disk_ptrs()};
-  sim_.schedule_at(0.0, [&] {
-    d.dispatch(req(0, 0, 0.0)); // disk 0
-    d.dispatch(req(1, 1, 0.0)); // disk 1
-    d.dispatch(req(2, 2, 0.0)); // disk 0
-  });
-  sim_.run();
-  ASSERT_EQ(completions_.size(), 3u);
-  EXPECT_EQ(d.dispatched(), 3u);
-  EXPECT_EQ(d.disk_of(1), 1u);
-  // Requests 0 and 2 serialized on disk 0; request 1 parallel on disk 1.
-  int disk0 = 0, disk1 = 0;
-  for (const auto& c : completions_) {
-    (c.disk_id == 0 ? disk0 : disk1)++;
-  }
-  EXPECT_EQ(disk0, 2);
-  EXPECT_EQ(disk1, 1);
+  const auto t = trace({{0.0, 0}, {0.0, 1}, {0.0, 2}});
+  const auto r = run_experiment(config(t, {0, 1, 0}));
+  EXPECT_EQ(r.requests, 3u);
+  ASSERT_EQ(r.per_disk.size(), 2u);
+  // Files 0 and 2 serialized on disk 0; file 1 in parallel on disk 1.
+  EXPECT_EQ(r.per_disk[0].response.count(), 2u);
+  EXPECT_EQ(r.per_disk[1].response.count(), 1u);
+  EXPECT_EQ(r.response.count(), 3u);
 }
 
 TEST_F(DispatcherFixture, ValidatesMapping) {
-  EXPECT_THROW((Dispatcher{sim_, catalog_, {0}, disk_ptrs()}),
+  const auto t = trace({{0.0, 0}});
+  EXPECT_THROW(run_experiment(config(t, {0})),
                std::invalid_argument); // shorter than catalog
-  EXPECT_THROW((Dispatcher{sim_, catalog_, {0, 1, 7}, disk_ptrs()}),
+  EXPECT_THROW(run_experiment(config(t, {0, 1, 7})),
                std::invalid_argument); // unknown disk
 }
 
 TEST_F(DispatcherFixture, CacheHitsBypassDisks) {
-  cache::LruCache cache{util::gb(1.0)};
-  Dispatcher d{sim_, catalog_, {0, 1, 0}, disk_ptrs(), &cache};
-  std::vector<std::pair<std::uint64_t, double>> hits;
-  d.set_hit_callback([&](std::uint64_t id, double lat) {
-    hits.emplace_back(id, lat);
-  });
-  sim_.schedule_at(0.0, [&] { d.dispatch(req(0, 0, 0.0)); }); // miss -> disk
-  sim_.schedule_at(10.0, [&] { d.dispatch(req(1, 0, 10.0)); }); // hit
-  sim_.run();
-  EXPECT_EQ(completions_.size(), 1u);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].first, 1u);
-  EXPECT_DOUBLE_EQ(hits[0].second, 0.0);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-TEST_F(DispatcherFixture, CacheHitLatencyIsScheduled) {
-  cache::LruCache cache{util::gb(1.0)};
-  Dispatcher d{sim_, catalog_, {0, 1, 0}, disk_ptrs(), &cache, 0.25};
-  double hit_time = -1.0;
-  d.set_hit_callback([&](std::uint64_t, double) { hit_time = sim_.now(); });
-  sim_.schedule_at(0.0, [&] { d.dispatch(req(0, 2, 0.0)); });
-  sim_.schedule_at(5.0, [&] { d.dispatch(req(1, 2, 5.0)); });
-  sim_.run();
-  EXPECT_DOUBLE_EQ(hit_time, 5.25);
+  const auto t = trace({{0.0, 0}, {10.0, 0}}); // miss -> disk, then hit
+  auto cfg = config(t, {0, 1, 0});
+  cfg.cache = CacheSpec::lru(util::gb(1.0));
+  const auto r = run_experiment(cfg);
+  EXPECT_EQ(r.cache.hits, 1u);
+  EXPECT_EQ(r.cache.misses, 1u);
+  // The hit completes in zero time and never reaches a disk.
+  EXPECT_EQ(r.hits_response.count(), 1u);
+  EXPECT_DOUBLE_EQ(r.hits_response.max(), 0.0);
+  EXPECT_EQ(r.per_disk[0].response.count(), 1u);
+  EXPECT_EQ(r.per_disk[1].response.count(), 0u);
+  EXPECT_EQ(r.response.count(), 2u);
+  EXPECT_DOUBLE_EQ(r.response.min(), 0.0);
 }
 
 TEST_F(DispatcherFixture, ComputesCatalogLayoutExtents) {
   // Mapping {0, 1, 0}: files 0 and 2 share disk 0, packed in id order.
-  Dispatcher d{sim_, catalog_, {0, 1, 0}, disk_ptrs()};
-  EXPECT_EQ(d.extent_of(0).lba, 0u);
-  EXPECT_EQ(d.extent_of(0).blocks, util::blocks_of(util::mb(72.0)));
-  EXPECT_EQ(d.extent_of(1).lba, 0u); // its own disk's address space
-  EXPECT_EQ(d.extent_of(2).lba, util::blocks_of(util::mb(72.0)));
-  EXPECT_EQ(d.extent_of(2).blocks, util::blocks_of(util::mb(36.0)));
+  const auto extents = workload::layout_extents(catalog_, {0, 1, 0}, 2);
+  EXPECT_EQ(extents[0].lba, 0u);
+  EXPECT_EQ(extents[0].blocks, util::blocks_of(util::mb(72.0)));
+  EXPECT_EQ(extents[1].lba, 0u); // its own disk's address space
+  EXPECT_EQ(extents[2].lba, util::blocks_of(util::mb(72.0)));
+  EXPECT_EQ(extents[2].blocks, util::blocks_of(util::mb(36.0)));
 }
 
 TEST_F(DispatcherFixture, StampsRequestsWithLayoutLba) {
-  // With an SSTF disk the service order reveals the submitted LBAs: a
-  // burst of (file 2, file 0) requests on disk 0 serves file 0 first
-  // (extent at LBA 0, nearest the head) even though file 2 arrived first.
-  disks_.clear();
-  completions_.clear();
-  disks_.push_back(std::make_unique<disk::Disk>(
-      sim_, 0, params_, disk::make_never_policy(), util::Rng{0},
-      disk::make_sstf_scheduler()));
-  disks_.back()->set_completion_callback(
-      [this](const disk::Completion& c) { completions_.push_back(c); });
-  Dispatcher d{sim_, catalog_, {0, 0, 0}, disk_ptrs()};
+  // With an SSTF disk the service order reveals the submitted LBAs.
   // Layout on disk 0 in id order: file 0 at [0, b0), file 1 at [b0, b0+b1),
   // file 2 at [b0+b1, ...).  Serving file 0 parks the head exactly at
-  // file 1's extent, so the queued file-1 request beats the earlier-arrived
-  // file-2 request — FCFS would serve 0, 1, 2.
-  sim_.schedule_at(0.0, [&] {
-    d.dispatch(req(0, 0, 0.0)); // in service immediately
-    d.dispatch(req(1, 2, 0.0)); // far extent, arrived first
-    d.dispatch(req(2, 1, 0.0)); // adjacent extent, arrived second
-  });
-  sim_.run();
-  ASSERT_EQ(completions_.size(), 3u);
-  EXPECT_EQ(completions_[0].request_id, 0u);
-  EXPECT_EQ(completions_[1].request_id, 2u);
-  EXPECT_EQ(completions_[2].request_id, 1u);
+  // file 1's extent, so the queued file-1 request (id 2) beats the
+  // earlier-arrived file-2 request (id 1) — FCFS would serve 0, 1, 2.
+  const auto t = trace({{0.0, 0}, {0.0, 2}, {0.0, 1}});
+  auto cfg = config(t, {0, 0, 0}, 1);
+  cfg.scheduler = SchedulerSpec::sstf();
+  EXPECT_EQ(completion_order(cfg), (std::vector<std::uint64_t>{0, 2, 1}));
+  cfg.scheduler = SchedulerSpec::fcfs();
+  EXPECT_EQ(completion_order(cfg), (std::vector<std::uint64_t>{0, 1, 2}));
 }
 
 TEST_F(DispatcherFixture, ExplicitRequestLbaOverridesLayout) {
-  disks_.clear();
-  completions_.clear();
-  disks_.push_back(std::make_unique<disk::Disk>(
-      sim_, 0, params_, disk::make_never_policy(), util::Rng{0},
-      disk::make_sstf_scheduler()));
-  disks_.back()->set_completion_callback(
-      [this](const disk::Completion& c) { completions_.push_back(c); });
-  Dispatcher d{sim_, catalog_, {0, 0, 0}, disk_ptrs()};
   // A trace-pinned lba reaches the disk: the single request's positioning
   // is billed for the pinned distance, not the layout extent's (file 0's
   // layout lba is 0 = the head's start, which would cost only the settle
   // floor).
   const std::uint64_t pinned = util::blocks_of(params_.capacity) / 2;
-  sim_.schedule_at(0.0, [&] {
-    auto r = req(0, 0, 0.0);
-    r.lba = pinned;
-    d.dispatch(r);
-  });
-  sim_.run();
-  ASSERT_EQ(completions_.size(), 1u);
+  const auto t = trace({{0.0, 0, pinned}});
+  auto cfg = config(t, {0, 0, 0}, 1);
+  cfg.scheduler = SchedulerSpec::sstf();
+  const auto r = run_experiment(cfg);
+  ASSERT_EQ(r.response.count(), 1u);
   const double dist = static_cast<double>(pinned) /
                       static_cast<double>(util::blocks_of(params_.capacity));
-  EXPECT_NEAR(completions_[0].response_time(),
+  EXPECT_NEAR(r.response.max(),
               params_.seek_time(dist) + params_.avg_rotation_s +
                   params_.transfer_time(util::mb(72.0)),
               1e-9);
 }
 
 TEST_F(DispatcherFixture, NoCacheMeansEveryRequestHitsDisks) {
-  Dispatcher d{sim_, catalog_, {0, 0, 0}, disk_ptrs()};
-  sim_.schedule_at(0.0, [&] {
-    for (int i = 0; i < 5; ++i) d.dispatch(req(i, 0, 0.0));
-  });
-  sim_.run();
-  EXPECT_EQ(completions_.size(), 5u);
+  const auto t = trace({{0.0, 0}, {0.0, 0}, {0.0, 0}, {0.0, 0}, {0.0, 0}});
+  const auto r = run_experiment(config(t, {0, 0, 0}));
+  EXPECT_EQ(r.cache.hits + r.cache.misses, 0u);
+  EXPECT_EQ(r.hits_response.count(), 0u);
+  EXPECT_EQ(r.per_disk[0].response.count(), 5u);
 }
 
 } // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
+#include <string>
 
 #include "util/units.h"
 
@@ -281,6 +283,43 @@ TEST(WorkloadSpec, ParseRejectsGarbageAndTraces) {
   EXPECT_THROW(WorkloadSpec::parse("poisson(nan,4000)"), std::invalid_argument);
   EXPECT_THROW(WorkloadSpec::parse("mmpp(inf,1,2,3,100)"),
                std::invalid_argument);
+  // Energy is integrated over [0, horizon]: an empty or negative window
+  // is an input error, not an empty experiment.
+  for (const char* bad :
+       {"poisson(5,-10)", "poisson(5,0)", "poisson(5,inf)",
+        "nhpp(0:3,-10)", "nhpp(0:3,0)", "nhpp(0:3;50:1,0,100)",
+        "mmpp(3,0.1,60,60,-10)", "mmpp(3,0.1,60,60,0)"}) {
+    EXPECT_THROW(WorkloadSpec::parse(bad), std::invalid_argument) << bad;
+  }
+}
+
+TEST(RunExperiment, RejectsNonPositiveOrNonFiniteHorizon) {
+  // Programmatic configs bypass the parser; the run rejects them with a
+  // message at any shard count.
+  const auto cat = small_catalog();
+  ExperimentConfig cfg;
+  cfg.catalog = &cat;
+  cfg.mapping = {0, 1, 0, 1, 0, 1, 0, 1};
+  cfg.num_disks = 2;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& w :
+       {WorkloadSpec::poisson(5.0, -10.0), WorkloadSpec::poisson(5.0, 0.0),
+        WorkloadSpec::poisson(5.0, nan), WorkloadSpec::poisson(5.0, inf),
+        WorkloadSpec::nhpp({{0.0, 3.0}}, 0.0),
+        WorkloadSpec::mmpp({{3.0, 0.1}, {60.0, 60.0}}, -1.0)}) {
+    cfg.workload = w;
+    for (const std::uint32_t shards : {1u, 2u}) {
+      cfg.shards = shards;
+      try {
+        run_experiment(cfg);
+        ADD_FAILURE() << w.spec() << " ran at shards=" << shards;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string{e.what()}.find("horizon"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(RunExperiment, NhppWorkloadEndToEnd) {

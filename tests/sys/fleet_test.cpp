@@ -38,10 +38,10 @@ ExperimentConfig fleet_config(const workload::FileCatalog& cat,
   return cfg;
 }
 
-/// Every physical field of two RunResults must agree bitwise.  `events` is
-/// deliberately absent: it is an engine statistic (the fleet path routes
-/// arrivals without calendar events), not part of the invariance contract.
+/// Every field of two RunResults must agree bitwise — `events` too: it
+/// counts disk work only, which no shard partition changes.
 void expect_same_physical(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(a.events, b.events);
   EXPECT_DOUBLE_EQ(a.power.horizon_s, b.power.horizon_s);
   EXPECT_DOUBLE_EQ(a.power.energy, b.power.energy);
   EXPECT_DOUBLE_EQ(a.power.average_power, b.power.average_power);
@@ -94,10 +94,11 @@ void expect_same_physical(const RunResult& a, const RunResult& b) {
 }
 
 TEST(FleetInvariance, MatchesSingleCalendarAcrossShardCounts) {
-  // The headline contract: every physical result field is bit-identical at
-  // any shard count.  The grid deliberately crosses an adaptive policy and
-  // a bursty workload with a cache, so per-disk RNG streams, arrival-order
-  // cache mutation, and drain behavior are all exercised.
+  // The headline contract: the one-shard run — a single calendar holding
+  // every disk — and every k-shard run agree on every result field.  The
+  // grid deliberately crosses an adaptive policy and a bursty workload with
+  // a cache, so per-disk RNG streams, arrival-order cache mutation, and
+  // drain behavior are all exercised.
   const auto cat = fleet_catalog();
   const std::vector<PolicySpec> policies{PolicySpec::break_even(),
                                          PolicySpec::ewma()};
@@ -132,7 +133,7 @@ TEST(FleetMerge, TwoShardSplitEqualsSingleCalendar) {
   auto cfg = fleet_config(cat);
   cfg.cache = CacheSpec::lru(util::mb(150.0));
   const auto baseline = run_experiment(cfg); // shards == 1
-  const auto partials = run_fleet_partials(cfg, 2);
+  const auto partials = run_fleet_partials(cfg, 2, classify_fleet_path(cfg));
   ASSERT_EQ(partials.size(), 3u); // router + 2 disk groups
   RunResult merged;
   for (const auto& p : partials) merged.merge(p);
@@ -144,7 +145,7 @@ TEST(FleetMerge, FoldIsAssociativeAndOrderIndependent) {
   // any fold order over the partials must produce the same bits.
   const auto cat = fleet_catalog();
   const auto cfg = fleet_config(cat);
-  const auto partials = run_fleet_partials(cfg, 3);
+  const auto partials = run_fleet_partials(cfg, 3, classify_fleet_path(cfg));
   ASSERT_EQ(partials.size(), 4u);
 
   RunResult forward;
@@ -282,8 +283,6 @@ TEST(FleetPath, ClassifiesEveryPlacementByCacheOnly) {
   const std::vector<std::string> caches{"none", "lru:200m", "fifo:200m",
                                         "lfu:200m"};
   for (const auto& placement : placements) {
-    EXPECT_TRUE(PlacementSpec::parse(placement).static_mapping())
-        << placement;
     for (const auto& cache : caches) {
       SCOPED_TRACE("placement " + placement + " cache " + cache);
       const auto spec =
@@ -292,7 +291,6 @@ TEST(FleetPath, ClassifiesEveryPlacementByCacheOnly) {
               .with("placement", placement)
               .with("cache", cache);
       const auto resolved = resolve_scenario(spec);
-      EXPECT_FALSE(resolved.config.dynamic_routing);
       const auto expected = cache == "none" ? FleetPath::kShardLocal
                                             : FleetPath::kRouted;
       EXPECT_EQ(classify_fleet_path(resolved.config), expected);
@@ -301,13 +299,15 @@ TEST(FleetPath, ClassifiesEveryPlacementByCacheOnly) {
 }
 
 TEST(FleetPath, DynamicRoutingForcesTheRouter) {
-  // Reserved hook for future per-arrival placements (replica-aware
-  // redirection): a config flagged dynamic_routing must route even with
-  // cache=none, and forcing the fast path on it must throw.
+  // Only orchestration routes a request anywhere but mapping[file] (read
+  // redirection picks a replica at arrival time), so it — not the replica
+  // count — forces the router even with cache=none, and forcing the fast
+  // path on it must throw.
   const auto cat = fleet_catalog();
   auto cfg = fleet_config(cat);
+  cfg.replicas = 2;
   ASSERT_EQ(classify_fleet_path(cfg), FleetPath::kShardLocal);
-  cfg.dynamic_routing = true;
+  cfg.orch = OrchSpec::parse("redirect");
   EXPECT_EQ(classify_fleet_path(cfg), FleetPath::kRouted);
   EXPECT_THROW(run_fleet(cfg, 2, FleetPath::kShardLocal),
                std::invalid_argument);
@@ -326,7 +326,7 @@ TEST(FleetInvariance, BothPathsAreBitIdenticalOnTheSameScenario) {
   // The tentpole contract: force the router on a shard-decomposable
   // scenario (which would normally take the routerless fast path) and
   // require bit-identical RunResults from both pipelines — and from the
-  // single calendar.  Crossed with an adaptive policy and a bursty
+  // one-shard run.  Crossed with an adaptive policy and a bursty
   // workload so per-disk RNG consumption differs between disks.
   const auto cat = fleet_catalog();
   const std::vector<WorkloadSpec> workloads{

@@ -144,6 +144,11 @@ TEST(ScenarioSpec, ParseRejectsBadInput) {
                std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::parse("catalog=table1(600,-1)"),
                std::invalid_argument);
+  // A workload needs a positive measurement window, sharded or not.
+  EXPECT_THROW(ScenarioSpec::parse("workload=poisson(5,-10)"),
+               std::invalid_argument);
+  EXPECT_THROW(ScenarioSpec::parse("workload=poisson(5,0) shards=2"),
+               std::invalid_argument);
 }
 
 TEST(ScenarioSpec, ShardsKeyRoundTrips) {

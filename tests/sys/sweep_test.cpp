@@ -108,7 +108,7 @@ TEST(RunSweep, DeterministicAcrossThreadCounts) {
 TEST(RunSweep, DeterministicAcrossShardCounts) {
   // The same adaptive × non-stationary grid, but varying the *intra-run*
   // parallelism: each config re-run with the calendar sharded 2/4/8 ways
-  // must reproduce the single-calendar results bit for bit.  (Shard counts
+  // must reproduce the one-shard results bit for bit.  (Shard counts
   // above the farm size clamp — still a valid configuration.)
   const auto cat = sweep_catalog();
   std::vector<ExperimentConfig> configs;

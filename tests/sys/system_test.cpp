@@ -1,9 +1,15 @@
+// The simulated storage system end to end through run_experiment — the
+// horizon snapshot, in-flight accounting, policies, schedulers and
+// determinism — plus the spec vocabulary of sys/system.h.
 #include "sys/system.h"
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "sys/experiment.h"
 #include "util/units.h"
-#include "workload/stream.h"
+#include "workload/trace.h"
 
 namespace spindown::sys {
 namespace {
@@ -16,6 +22,21 @@ workload::FileCatalog uniform_catalog(std::size_t n, util::Bytes size) {
     files[i].popularity = 1.0 / static_cast<double>(n);
   }
   return workload::FileCatalog{files};
+}
+
+/// Replay `trace` on `mapping`: the measurement window is the trace's
+/// duration + 1 s.
+ExperimentConfig replay(const workload::FileCatalog& cat,
+                        const workload::Trace& trace,
+                        std::vector<std::uint32_t> mapping,
+                        std::uint32_t num_disks, const PolicySpec& policy) {
+  ExperimentConfig cfg;
+  cfg.catalog = &cat;
+  cfg.mapping = std::move(mapping);
+  cfg.num_disks = num_disks;
+  cfg.policy = policy;
+  cfg.workload = WorkloadSpec::replay(trace);
+  return cfg;
 }
 
 TEST(PolicySpec, FactoryNames) {
@@ -38,20 +59,17 @@ TEST(AlwaysOnEnergy, ClosedForm) {
 
 TEST(StorageSystem, ValidatesMapping) {
   const auto cat = uniform_catalog(2, util::mb(10.0));
-  EXPECT_THROW((StorageSystem{cat, std::vector<std::uint32_t>{0, 5}, 2,
-                              disk::DiskParams::st3500630as(),
-                              PolicySpec::never()}),
-               std::invalid_argument);
+  const workload::Trace trace{cat, {{0.0, 0}}};
+  auto cfg = replay(cat, trace, {0, 5}, 2, PolicySpec::never());
+  EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
 }
 
 TEST(StorageSystem, TraceRunAccountsEveryRequest) {
   const auto cat = uniform_catalog(4, util::mb(72.0));
   const workload::Trace trace{
       cat, {{0.0, 0}, {1.0, 1}, {2.0, 2}, {3.0, 3}, {100.0, 0}}};
-  StorageSystem sys{cat, {0, 0, 1, 1}, 2, disk::DiskParams::st3500630as(),
-                    PolicySpec::never()};
-  workload::TraceStream stream{trace};
-  const auto r = sys.run(stream, trace.duration() + 1.0);
+  const auto r =
+      run_experiment(replay(cat, trace, {0, 0, 1, 1}, 2, PolicySpec::never()));
   EXPECT_EQ(r.requests, 5u);
   EXPECT_EQ(r.response.count(), 5u);
   EXPECT_EQ(r.per_disk.size(), 2u);
@@ -65,10 +83,8 @@ TEST(StorageSystem, NeverPolicyMatchesAlwaysOnEnergy) {
   // always-on normalizer (same integration window) — saving == 0.
   const auto cat = uniform_catalog(3, util::mb(144.0));
   const workload::Trace trace{cat, {{5.0, 0}, {17.0, 1}, {31.0, 2}}};
-  StorageSystem sys{cat, {0, 1, 2}, 3, disk::DiskParams::st3500630as(),
-                    PolicySpec::never()};
-  workload::TraceStream stream{trace};
-  const auto r = sys.run(stream, trace.duration() + 1.0);
+  const auto r =
+      run_experiment(replay(cat, trace, {0, 1, 2}, 3, PolicySpec::never()));
   EXPECT_NEAR(r.power.energy, r.power.always_on_energy, 1e-6);
   EXPECT_NEAR(r.power.saving_vs_always_on, 0.0, 1e-9);
   EXPECT_EQ(r.power.spin_downs, 0u);
@@ -76,20 +92,20 @@ TEST(StorageSystem, NeverPolicyMatchesAlwaysOnEnergy) {
 
 TEST(StorageSystem, AggressivePolicySavesEnergyOnSparseLoad) {
   const auto cat = uniform_catalog(3, util::mb(72.0));
-  // One request per disk, then a long quiet tail.
-  const workload::Trace trace{cat, {{0.0, 0}, {1.0, 1}, {2.0, 2}}};
+  // One request per disk, a long quiet tail, and a last request that ends
+  // the trace — and so the 4000 s measurement window — at 3999 s.
+  const workload::Trace trace{
+      cat, {{0.0, 0}, {1.0, 1}, {2.0, 2}, {3999.0, 0}}};
 
   auto run_with = [&](PolicySpec policy) {
-    StorageSystem sys{cat, {0, 1, 2}, 3, disk::DiskParams::st3500630as(),
-                      policy};
-    workload::TraceStream stream{trace};
-    return sys.run(stream, 4000.0);
+    return run_experiment(replay(cat, trace, {0, 1, 2}, 3, policy));
   };
   const auto never = run_with(PolicySpec::never());
   const auto fixed = run_with(PolicySpec::fixed(30.0));
   EXPECT_LT(fixed.power.energy, never.power.energy);
   EXPECT_GT(fixed.power.saving_vs_always_on, 0.5); // mostly standby
   EXPECT_EQ(fixed.power.spin_downs, 3u);
+  EXPECT_EQ(fixed.power.spin_ups, 1u); // the last request wakes disk 0
   // Power is measured over the same fixed window.
   EXPECT_DOUBLE_EQ(fixed.power.horizon_s, 4000.0);
   EXPECT_DOUBLE_EQ(never.power.horizon_s, 4000.0);
@@ -100,9 +116,8 @@ TEST(StorageSystem, SpinUpPenaltyVisibleInResponseTimes) {
   const auto params = disk::DiskParams::st3500630as();
   // Second request arrives long after the disk has gone to standby.
   const workload::Trace trace{cat, {{0.0, 0}, {500.0, 0}}};
-  StorageSystem sys{cat, {0}, 1, params, PolicySpec::fixed(20.0)};
-  workload::TraceStream stream{trace};
-  const auto r = sys.run(stream, trace.duration() + 1.0);
+  const auto r =
+      run_experiment(replay(cat, trace, {0}, 1, PolicySpec::fixed(20.0)));
   EXPECT_EQ(r.power.spin_ups, 1u);
   EXPECT_NEAR(r.response.max(),
               params.spinup_s + params.service_time(util::mb(72.0)), 1e-9);
@@ -112,29 +127,36 @@ TEST(StorageSystem, SpinUpPenaltyVisibleInResponseTimes) {
 TEST(StorageSystem, DeterministicAcrossRuns) {
   const auto cat = uniform_catalog(20, util::mb(100.0));
   auto run_once = [&] {
-    std::vector<std::uint32_t> mapping(20, 0);
-    for (std::uint32_t i = 0; i < 20; ++i) mapping[i] = i % 4;
-    StorageSystem sys{cat, mapping, 4, disk::DiskParams::st3500630as(),
-                      PolicySpec::break_even(), nullptr, /*seed=*/7};
-    workload::PoissonZipfStream stream{cat, 0.5, 500.0, util::Rng{7}};
-    return sys.run(stream, 500.0);
+    ExperimentConfig cfg;
+    cfg.catalog = &cat;
+    cfg.mapping.resize(20);
+    for (std::uint32_t i = 0; i < 20; ++i) cfg.mapping[i] = i % 4;
+    cfg.num_disks = 4;
+    cfg.workload = WorkloadSpec::poisson(0.5, 500.0);
+    cfg.seed = 7;
+    return run_experiment(cfg);
   };
   const auto a = run_once();
   const auto b = run_once();
   EXPECT_DOUBLE_EQ(a.power.energy, b.power.energy);
   EXPECT_EQ(a.response.count(), b.response.count());
   EXPECT_DOUBLE_EQ(a.response.mean(), b.response.mean());
+  EXPECT_EQ(a.events, b.events);
 }
 
 TEST(StorageSystem, RandomizedPolicySeedsDifferPerDisk) {
   // All disks idle from t=0 with no requests: randomized policy should give
   // them different spin-down times (they draw from split RNG streams).
   const auto cat = uniform_catalog(2, util::mb(10.0));
-  const workload::Trace empty{cat, {}};
-  StorageSystem sys{cat, {0, 1}, 8, disk::DiskParams::st3500630as(),
-                    PolicySpec::randomized()};
-  workload::TraceStream stream{empty};
-  const auto r = sys.run(stream, 200.0);
+  ExperimentConfig cfg;
+  cfg.catalog = &cat;
+  cfg.mapping = {0, 1};
+  cfg.num_disks = 8;
+  cfg.policy = PolicySpec::randomized();
+  // A vanishing rate: no arrival lands in the 200 s window.
+  cfg.workload = WorkloadSpec::poisson(1e-9, 200.0);
+  const auto r = run_experiment(cfg);
+  ASSERT_EQ(r.requests, 0u);
   EXPECT_EQ(r.power.spin_downs, 8u);
   // Idle times differ across disks (probability of a tie ~ 0).
   std::set<double> idle_times;
@@ -166,25 +188,28 @@ TEST(StorageSystem, SchedulerDisciplineDifferentiatesQueueBuildingLoad) {
   // order: the queue is deep, FCFS jumps across the layout while the
   // geometry-aware disciplines sweep it — mean response and energy must
   // differ, and the batching scheduler must coalesce positioning phases.
+  // One last lone request at 599 s stretches the measurement window to
+  // 600 s, well past the drain.
   const auto cat = uniform_catalog(40, util::mb(8.0));
   std::vector<workload::TraceRecord> records;
   for (std::size_t i = 0; i < 40; ++i) {
     // Deterministic shuffle: stride 17 is coprime with 40.
     records.push_back({0.0, static_cast<workload::FileId>((i * 17) % 40)});
   }
+  records.push_back({599.0, 0});
   const workload::Trace trace{cat, std::move(records)};
 
   auto run_with = [&](const SchedulerSpec& spec) {
-    StorageSystem sys{cat, std::vector<std::uint32_t>(40, 0), 1,
-                      disk::DiskParams::st3500630as(), PolicySpec::never()};
-    sys.set_scheduler(spec);
-    workload::TraceStream stream{trace};
-    return sys.run(stream, 600.0); // horizon covers the full drain
+    auto cfg = replay(cat, trace, std::vector<std::uint32_t>(40, 0), 1,
+                      PolicySpec::never());
+    cfg.scheduler = spec;
+    return run_experiment(cfg);
   };
   const auto fcfs = run_with(SchedulerSpec::fcfs());
   const auto sstf = run_with(SchedulerSpec::sstf());
   const auto scan = run_with(SchedulerSpec::scan());
   const auto batch = run_with(SchedulerSpec::batch());
+  EXPECT_DOUBLE_EQ(fcfs.power.horizon_s, 600.0);
 
   // The burst built a real queue: mean response far exceeds one service.
   const double svc =
@@ -205,44 +230,45 @@ TEST(StorageSystem, SchedulerDisciplineDifferentiatesQueueBuildingLoad) {
     for (const auto& m : r.per_disk) n += m.positionings;
     return n;
   };
-  EXPECT_EQ(positionings(fcfs), 40u);
-  EXPECT_EQ(positionings(sstf), 40u);
-  EXPECT_LT(positionings(batch), 40u);
+  EXPECT_EQ(positionings(fcfs), 41u);
+  EXPECT_EQ(positionings(sstf), 41u);
+  EXPECT_LT(positionings(batch), 41u);
 
   // Every discipline serves every request exactly once.
   for (const auto* r : {&fcfs, &sstf, &scan, &batch}) {
-    EXPECT_EQ(r->response.count(), 40u);
-    EXPECT_EQ(r->completed_at_horizon, 40u);
+    EXPECT_EQ(r->response.count(), 41u);
+    EXPECT_EQ(r->completed_at_horizon, 41u);
     EXPECT_EQ(r->in_flight_at_horizon, 0u);
   }
 }
 
 TEST(StorageSystem, HorizonSnapshotCountsInFlightExactlyOnce) {
-  // Two disks, 10 s transfers; at the 11 s horizon disk 0 has one request
-  // served and one mid-transfer, disk 1 has one mid-transfer and one
+  // Two disks, 10 s transfers; the last request (at 10 s) sets the
+  // measurement horizon to 11 s.  There disk 0 has one request served, one
+  // mid-transfer and one queued; disk 1 has one mid-transfer and one
   // queued.  The snapshot must place each of the five requests in exactly
   // one bucket, while the response summary still drains them all.
   const auto cat = uniform_catalog(4, util::mb(720.0));
   const workload::Trace trace{
-      cat, {{0.0, 0}, {0.0, 1}, {2.0, 2}, {2.5, 3}}};
-  StorageSystem sys{cat, {0, 0, 1, 1}, 2, disk::DiskParams::st3500630as(),
-                    PolicySpec::never()};
-  workload::TraceStream stream{trace};
-  const auto r = sys.run(stream, 11.0);
-  EXPECT_EQ(r.requests, 4u);
+      cat, {{0.0, 0}, {0.0, 1}, {2.0, 2}, {2.5, 3}, {10.0, 0}}};
+  const auto r =
+      run_experiment(replay(cat, trace, {0, 0, 1, 1}, 2, PolicySpec::never()));
+  EXPECT_DOUBLE_EQ(r.power.horizon_s, 11.0);
+  EXPECT_EQ(r.requests, 5u);
   EXPECT_EQ(r.completed_at_horizon, 1u);
-  EXPECT_EQ(r.in_flight_at_horizon, 3u);
+  EXPECT_EQ(r.in_flight_at_horizon, 4u);
   EXPECT_EQ(r.completed_at_horizon + r.in_flight_at_horizon + r.cache.hits,
             r.requests);
-  // Disk 0: served 1, transferring 1.  Disk 1: transferring 1, queued 1.
+  // Disk 0: served 1, transferring 1, queued 1.  Disk 1: transferring 1,
+  // queued 1.
   EXPECT_EQ(r.per_disk[0].served, 1u);
   EXPECT_EQ(r.per_disk[0].in_service, 1u);
-  EXPECT_EQ(r.per_disk[0].queued, 0u);
+  EXPECT_EQ(r.per_disk[0].queued, 1u);
   EXPECT_EQ(r.per_disk[1].served, 0u);
   EXPECT_EQ(r.per_disk[1].in_service, 1u);
   EXPECT_EQ(r.per_disk[1].queued, 1u);
   // All requests still run to completion and record response times.
-  EXPECT_EQ(r.response.count(), 4u);
+  EXPECT_EQ(r.response.count(), 5u);
 }
 
 } // namespace

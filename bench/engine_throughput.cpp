@@ -9,11 +9,14 @@
 //   * schedule-heavy — self-rescheduling event chains carrying a 24-byte
 //     request payload (the shape of a calendar-scheduled arrival stream),
 //   * cancel-heavy   — arm a 10 s timer, service a request, disarm the
-//     timer (the fixed-threshold spin-down policy arms and disarms on every
-//     request; this is the profile the ISSUE targets at >= 3x),
+//     timer: a stress test of cancel().  The disk no longer works this way
+//     (its idle timer is lazy: an arrival leaves the pending timer to
+//     re-arm or drop itself, and cancel() runs only when a policy shortens
+//     its timeout), but the profile keeps the eager shape so its numbers
+//     stay comparable with BENCH_engine.json,
 //   * replay-shaped  — a farm of disks with arrivals, service completions
 //     and idle timers that mostly get disarmed, occasionally fire (the
-//     NERSC trace replay shape).
+//     NERSC trace replay shape, with the same eager timer discipline).
 //
 // Usage:
 //   engine_throughput [--quick] [--json <path>] [--seed <n>] [--reps <n>]
@@ -221,9 +224,9 @@ ProfileResult cancel_heavy(std::uint64_t cycles, std::uint64_t seed) {
   std::uint64_t fired = 0;
   (void)seed; // deterministic profile: the request pattern is fixed
 
-  // The fixed-threshold spin-down discipline, distilled: every request
-  // disarms the idle timer armed after the previous service and re-arms it,
-  // so the cancel:execute ratio is 1:1.  Entirely event-driven — the whole
+  // An eager idle-timer discipline, distilled: every request disarms the
+  // idle timer armed after the previous service and re-arms it, so the
+  // cancel:execute ratio is 1:1.  Entirely event-driven — the whole
   // profile runs inside one sim.run(), like a real replay.
   struct Driver {
     Sim& sim;
@@ -290,7 +293,8 @@ ProfileResult replay_shaped(std::uint64_t target_arrivals, std::uint64_t seed) {
       --remaining;
       DiskState& disk = disks[d];
       if (disk.armed) {
-        // Same discipline as disk.cpp: disarm the idle timer on arrival.
+        // Eager discipline: disarm the idle timer on arrival (disk.cpp
+        // instead lets a pending timer go stale).
         sim.cancel(disk.timer);
         disk.armed = false;
         ++cancels;

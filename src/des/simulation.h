@@ -12,8 +12,9 @@
 //     4-ary min-heap of 16-byte (time, seq|slot) keys — so the steady-state
 //     schedule -> fire -> recycle cycle performs zero heap allocations,
 //   * scheduling returns a generation-counted handle for cancellation (used
-//     by the disk's idleness timer, which is disarmed whenever a request
-//     arrives).  Cancellation removes the calendar key eagerly — each node
+//     by the disk's idleness timer when a policy shortens its timeout below
+//     the pending timer's; arrivals leave the timer to go stale and drop
+//     itself).  Cancellation removes the calendar key eagerly — each node
 //     tracks its key's heap position via the heap's move observer — so the
 //     calendar only ever holds live events; since a not-yet-due timer sits
 //     in a leaf, removal is O(1) in practice.  A stale handle — already

@@ -49,19 +49,20 @@ Disk::Disk(des::Simulation& sim, std::uint32_t id, DiskParams params,
   arm_idle_timer();
 }
 
-void Disk::enter(PowerState next) {
+void Disk::enter(PowerState next, double at) {
   assert(can_transition(state_, next));
   if (trace_ != nullptr && trace_->wants(obs::Kind::kPower)) {
-    trace_->emit(obs::Kind::kPower, static_cast<std::uint8_t>(next),
-                 sim_.now(), id_, 0,
-                 static_cast<double>(static_cast<unsigned>(state_)));
+    trace_->emit(obs::Kind::kPower, static_cast<std::uint8_t>(next), at, id_,
+                 0, static_cast<double>(static_cast<unsigned>(state_)));
   }
-  ledger_.transition(sim_.now(), next);
+  ledger_.transition(at, next);
   state_ = next;
 }
 
 void Disk::submit(std::uint64_t request_id, util::Bytes bytes,
                   std::uint64_t lba, std::uint64_t blocks, bool background) {
+  catch_up();
+  idle_deadline_ = kNoDeadline; // a pending idle timer finds it gone
   IoJob job;
   job.request_id = request_id;
   job.bytes = bytes;
@@ -90,9 +91,6 @@ void Disk::submit(std::uint64_t request_id, util::Bytes bytes,
   }
   switch (state_) {
     case PowerState::kIdle:
-      // The idle gap ends now; record it for offline-optimal analysis.
-      idle_gaps_.push_back(sim_.now() - idle_since_);
-      disarm_idle_timer();
       start_service();
       break;
     case PowerState::kStandby:
@@ -140,27 +138,30 @@ void Disk::start_service() {
                    job.request_id, static_cast<double>(batch_.size()));
     }
   }
-  enter(PowerState::kPositioning);
-  sim_.schedule_in(positioning_time(batch_.front().lba),
-                   [this] { finish_positioning(); });
+  enter(PowerState::kPositioning, sim_.now());
+  // The positioning phase ends at a time fixed right here, so it needs no
+  // event of its own: catch_up() enters kTransfer at transfer_at_, and the
+  // first member's completion is the batch's only event.
+  transfer_at_ = sim_.now() + positioning_time(batch_.front().lba);
+  schedule_completion(transfer_at_);
 }
 
-void Disk::finish_positioning() {
-  enter(PowerState::kTransfer);
-  start_transfer();
-}
-
-void Disk::start_transfer() {
+void Disk::trace_transfer(double at) {
   if (trace_ != nullptr && trace_->wants(obs::Kind::kSpan)) {
-    trace_->emit(obs::Kind::kSpan, obs::kSpanTransfer, sim_.now(), id_,
+    trace_->emit(obs::Kind::kSpan, obs::kSpanTransfer, at, id_,
                  batch_[batch_pos_].request_id,
                  static_cast<double>(batch_[batch_pos_].bytes));
   }
-  sim_.schedule_in(params_.transfer_time(batch_[batch_pos_].bytes),
-                   [this] { finish_transfer(); });
+}
+
+void Disk::schedule_completion(double transfer_start) {
+  sim_.schedule_at(
+      transfer_start + params_.transfer_time(batch_[batch_pos_].bytes),
+      [this] { finish_transfer(); });
 }
 
 void Disk::finish_transfer() {
+  catch_up();
   const IoJob& job = batch_[batch_pos_];
   if (job.background) {
     ++destage_served_;
@@ -193,7 +194,8 @@ void Disk::finish_transfer() {
   if (batch_pos_ < batch_.size()) {
     // Coalesced batch: the next extent is (near-)adjacent, so the head
     // streams straight into it — no further positioning phase is billed.
-    start_transfer();
+    trace_transfer(sim_.now());
+    schedule_completion(sim_.now());
   } else if (!scheduler_->empty()) {
     start_service();
   } else {
@@ -202,7 +204,7 @@ void Disk::finish_transfer() {
 }
 
 void Disk::go_idle() {
-  enter(PowerState::kIdle);
+  enter(PowerState::kIdle, sim_.now());
   idle_since_ = sim_.now();
   idle_period_open_ = true;
   idle_spun_down_ = false;
@@ -233,33 +235,49 @@ void Disk::arm_idle_timer() {
     trace_->emit(obs::Kind::kPolicy, obs::kPolicyTimerArmed, sim_.now(), id_,
                  0, *timeout, policy_->trace_estimate());
   }
-  idle_timer_ = sim_.schedule_in(*timeout, [this] {
-    idle_timer_ = des::EventHandle{};
-    if (trace_ != nullptr && trace_->wants(obs::Kind::kPolicy)) {
-      trace_->emit(obs::Kind::kPolicy, obs::kPolicyThresholdFired, sim_.now(),
-                   id_, 0, sim_.now() - idle_since_);
-    }
-    begin_spin_down();
-  });
+  idle_deadline_ = sim_.now() + *timeout;
+  if (idle_timer_.valid()) {
+    // A pending timer due no later than the new deadline re-arms itself
+    // when it fires; a later one (the policy shortened its timeout) must
+    // give way.
+    if (idle_timer_at_ <= idle_deadline_) return;
+    sim_.cancel(idle_timer_);
+  }
+  schedule_idle_timer();
 }
 
-void Disk::disarm_idle_timer() {
-  // Generation-counted handles make this safe unconditionally: cancelling an
-  // inert or already-fired handle is a no-op returning false.
-  sim_.cancel(idle_timer_);
+void Disk::schedule_idle_timer() {
+  idle_timer_at_ = idle_deadline_;
+  idle_timer_ = sim_.schedule_at(idle_deadline_, [this] { fire_idle_timer(); });
+}
+
+void Disk::fire_idle_timer() {
   idle_timer_ = des::EventHandle{};
+  if (state_ != PowerState::kIdle || idle_deadline_ == kNoDeadline) {
+    return; // stale: the idle period it was armed for has ended
+  }
+  if (sim_.now() < idle_deadline_) {
+    schedule_idle_timer(); // armed for an earlier period; this one ends later
+    return;
+  }
+  assert(sim_.now() == idle_deadline_); // never scheduled past the deadline
+  if (trace_ != nullptr && trace_->wants(obs::Kind::kPolicy)) {
+    trace_->emit(obs::Kind::kPolicy, obs::kPolicyThresholdFired, sim_.now(),
+                 id_, 0, sim_.now() - idle_since_);
+  }
+  begin_spin_down();
 }
 
 void Disk::begin_spin_down() {
   assert(state_ == PowerState::kIdle);
   idle_spun_down_ = true;
   ++spin_downs_;
-  enter(PowerState::kSpinningDown);
+  enter(PowerState::kSpinningDown, sim_.now());
   sim_.schedule_in(params_.spindown_s, [this] { finish_spin_down(); });
 }
 
 void Disk::finish_spin_down() {
-  enter(PowerState::kStandby);
+  enter(PowerState::kStandby, sim_.now());
   // Requests that arrived during the spin-down force an immediate spin-up.
   if (!scheduler_->empty()) begin_spin_up();
 }
@@ -267,7 +285,7 @@ void Disk::finish_spin_down() {
 void Disk::begin_spin_up() {
   assert(state_ == PowerState::kStandby);
   ++spin_ups_;
-  enter(PowerState::kSpinningUp);
+  enter(PowerState::kSpinningUp, sim_.now());
   sim_.schedule_in(params_.spinup_s, [this] { finish_spin_up(); });
 }
 
@@ -283,6 +301,9 @@ void Disk::finish_spin_up() {
 
 DiskMetrics Disk::metrics(double now) const {
   auto ledger = ledger_; // copy, then flush the copy to `now`
+  if (state_ == PowerState::kPositioning && now >= transfer_at_) {
+    ledger.transition(transfer_at_, PowerState::kTransfer);
+  }
   ledger.flush(now);
   DiskMetrics m;
   m.disk_id = id_;

@@ -21,12 +21,23 @@
 // arriving mid-spin-down waits for the spin-down to complete and then for
 // the spin-up (the head cannot abort a retraction).
 //
+// Calendar cost: one event per batch job.  Once a batch starts, its
+// positioning-to-transfer edge is fully determined, so start_service()
+// schedules only the first member's completion; catch_up() applies the edge
+// lazily (at its exact time) the next time anything touches the disk.  The
+// idle timer is lazy too: an arrival only clears the idle deadline, and the
+// one pending timer event, when it fires, spins the disk down if it is due,
+// re-arms for a later deadline, or drops itself.  A timer is cancelled only
+// when a new deadline falls before the pending one (a policy that shortened
+// its timeout).
+//
 // Every state residency is integrated into a time-weighted ledger, so energy
 // is exact under the piecewise-constant power model.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -162,9 +173,26 @@ public:
   /// decisions on track `id()` subject to the buffer's kind mask.
   void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
 
+  /// Apply the positioning-to-transfer edge if it has fallen due (it has no
+  /// calendar event of its own).  Every disk entry point calls this first;
+  /// an observer that emits on this disk's trace track (the metrics
+  /// sampler) must call it before emitting, so the edge keeps its place in
+  /// the track's timeline.
+  void catch_up() {
+    if (state_ == PowerState::kPositioning && sim_.now() >= transfer_at_) {
+      enter(PowerState::kTransfer, transfer_at_);
+      trace_transfer(transfer_at_);
+    }
+  }
+
   std::uint32_t id() const { return id_; }
   const DiskParams& params() const { return params_; }
-  PowerState state() const { return state_; }
+  /// Current power state, with a due positioning-to-transfer edge applied.
+  PowerState state() const {
+    return state_ == PowerState::kPositioning && sim_.now() >= transfer_at_
+               ? PowerState::kTransfer
+               : state_;
+  }
   const IoScheduler& scheduler() const { return *scheduler_; }
   std::size_t queue_length() const { return scheduler_->size(); }
   /// Requests in the active batch (cheap gauge taps for the sampler).
@@ -173,24 +201,24 @@ public:
   /// Current head position (first block past the last transferred extent).
   std::uint64_t head_lba() const { return head_lba_; }
 
-  /// Snapshot of the counters with the ledger flushed to `now`.
+  /// Snapshot of the counters with the ledger flushed to `now` (a due
+  /// positioning-to-transfer edge is applied to the copy).
   DiskMetrics metrics(double now) const;
 
-  /// Completed idle-gap durations (time from going idle to the next
-  /// arrival), recorded when the policy never spun the disk down during the
-  /// gap.  Input for offline-optimal analysis.
-  const std::vector<double>& idle_gaps() const { return idle_gaps_; }
-
 private:
-  void enter(PowerState next);
+  static constexpr double kNoDeadline =
+      std::numeric_limits<double>::infinity();
+
+  void enter(PowerState next, double at);
   double positioning_time(std::uint64_t target_lba) const;
   void start_service();
-  void finish_positioning();
-  void start_transfer();
+  void trace_transfer(double at);
+  void schedule_completion(double transfer_start);
   void finish_transfer();
   void go_idle();
   void arm_idle_timer();
-  void disarm_idle_timer();
+  void schedule_idle_timer();
+  void fire_idle_timer();
   void begin_spin_down();
   void finish_spin_down();
   void begin_spin_up();
@@ -210,10 +238,19 @@ private:
   /// complete.  Storage is reused across batches (grow-only).
   std::vector<IoJob> batch_;
   std::size_t batch_pos_ = 0;
+  /// End of the active batch's positioning phase (meaningful while
+  /// state_ == kPositioning); catch_up() enters kTransfer at this time.
+  double transfer_at_ = 0.0;
   std::uint64_t head_lba_ = 0;
   double capacity_blocks_ = 1.0;
   std::uint64_t submit_seq_ = 0;
+  /// Spin-down deadline of the open idle period (kNoDeadline when there is
+  /// none: the disk is busy, or the policy chose to stay idle).
+  double idle_deadline_ = kNoDeadline;
+  /// The one pending idle-timer event (inert when none) and its due time,
+  /// which is never later than idle_deadline_ while the disk is idle.
   des::EventHandle idle_timer_;
+  double idle_timer_at_ = 0.0;
   double idle_since_ = 0.0;
   /// True from go_idle() (or construction) until the arrival that ends the
   /// period; an arrival mid-spin-down/standby closes the same period, so
@@ -236,7 +273,6 @@ private:
   std::uint64_t bg_in_batch_ = 0;
   std::uint64_t positionings_ = 0;
   util::Bytes bytes_served_ = 0;
-  std::vector<double> idle_gaps_;
   stats::LogHistogram idle_periods_{DiskMetrics::kIdleHistLo,
                                     DiskMetrics::kIdleHistHi,
                                     DiskMetrics::kIdleHistBins};

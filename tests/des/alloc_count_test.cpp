@@ -100,8 +100,8 @@ TEST(AllocCount, SteadyStateScheduleCancelCycleIsAllocationFree) {
   EXPECT_EQ(after - before, 0u);
 }
 
-// The completion chain through the disk: submit -> schedule positioning ->
-// schedule transfer -> completion callback -> resubmit.  With the
+// The completion chain through the disk: submit -> schedule the job's
+// completion (positioning ends lazily) -> callback -> resubmit.  With the
 // InlineFunction callbacks and the schedulers' grow-only storage the whole
 // cycle must be allocation-free once warm — the refactored request path
 // keeps PR 2's zero-alloc property end to end.

@@ -228,8 +228,8 @@ TEST(Simulation, SlotsAreRecycledNotLeaked) {
 }
 
 TEST(Simulation, ChurnStressScheduleCancelCycles) {
-  // 10^5 schedule/cancel cycles mimicking the fixed-threshold spin-down
-  // policy (arm a timer, disarm it when the next request lands), run under
+  // 10^5 schedule/cancel cycles mimicking an eager idle-timer discipline
+  // (arm a timer, disarm it when the next request lands), run under
   // the ASan preset in CI to shake out any slab/generation bug.
   Simulation sim;
   std::uint64_t cancelled = 0;

@@ -166,11 +166,18 @@ TEST_F(DiskFixture, IdleGapsRecordedBetweenArrivals) {
   sim_.schedule_at(0.0, [&] { d->submit(0, size); });
   sim_.schedule_at(svc + 40.0, [&] { d->submit(1, size); });
   sim_.run();
-  // Gap 0: [0, 0) before the first request (disk idle from t = 0);
-  // gap 1: 40 s between first completion and second arrival.
-  ASSERT_EQ(d->idle_gaps().size(), 2u);
-  EXPECT_NEAR(d->idle_gaps()[0], 0.0, 1e-12);
-  EXPECT_NEAR(d->idle_gaps()[1], 40.0, 1e-9);
+  // Gap 0: [0, 0) before the first request (disk idle from t = 0) is
+  // counted but cannot be log-binned; gap 1: 40 s between the first
+  // completion and the second arrival lands in the bin covering 40 s.
+  const auto m = d->metrics(sim_.now());
+  const auto& h = m.idle_periods;
+  EXPECT_EQ(h.total(), 2u);
+  ASSERT_EQ(h.binned(), 1u);
+  for (std::size_t i = 0; i < h.bins(); ++i) {
+    if (h.bin_count(i) == 0) continue;
+    EXPECT_LE(h.bin_lo(i), 40.0);
+    EXPECT_GT(h.bin_hi(i), 40.0);
+  }
 }
 
 TEST_F(DiskFixture, BurstDuringSpinUpQueuesAll) {

@@ -2,10 +2,14 @@
 // events recorded by a sharded fleet run — on either pipeline — must equal
 // the one-shard run's trace exactly (TraceEvent field-wise equality),
 // mirroring the RunResult invariance contract in tests/sys/fleet_test.cpp.
+// Two scenario streams are also pinned by length and hash, so a change to
+// the disk's event mechanics must leave every sim-time edge where it was.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -166,6 +170,80 @@ TEST(TraceFleetProfile, ProfileSamplesStayOutOfTheCanonicalStream) {
   EXPECT_TRUE(fill && wait && replay)
       << "all three pipeline stages must be sampled";
   EXPECT_EQ(routed.shards, 4u);
+}
+
+/// Byte length and 64-bit FNV-1a hash of the canonical sim-time stream
+/// (`RunTrace::events`; profile samples are wall-clock and excluded).  Each
+/// event is serialized field by field, little-endian, doubles by their bit
+/// pattern: t, id, value, aux (8 bytes each), track (4), kind, code (1).
+struct StreamDigest {
+  std::uint64_t bytes = 0;
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+
+  void feed(std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      hash ^= (v >> (8 * i)) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+    bytes += static_cast<std::uint64_t>(width);
+  }
+};
+
+StreamDigest digest(const RunTrace& trace) {
+  StreamDigest d;
+  for (const TraceEvent& e : trace.events) {
+    d.feed(std::bit_cast<std::uint64_t>(e.t), 8);
+    d.feed(e.id, 8);
+    d.feed(std::bit_cast<std::uint64_t>(e.value), 8);
+    d.feed(std::bit_cast<std::uint64_t>(e.aux), 8);
+    d.feed(e.track, 4);
+    d.feed(static_cast<std::uint8_t>(e.kind), 1);
+    d.feed(e.code, 1);
+  }
+  return d;
+}
+
+RunTrace traced_scenario(const std::string& text, double metrics_interval_s) {
+  auto spec = sys::ScenarioSpec::parse(text);
+  spec.obs.metrics_interval_s = metrics_interval_s;
+  RunTrace trace;
+  (void)sys::run_scenario(spec, &trace);
+  return trace;
+}
+
+// Captured from the disk that scheduled a calendar event for every
+// positioning-to-transfer edge and cancelled its idle timer on every
+// arrival; the one-event-per-job disk must emit the identical stream.
+TEST(TracePin, ShardLocalSstfFixedTimeoutStreamIsPinned) {
+  const auto trace = traced_scenario(
+      "catalog=synth(2000,0.2,1m,independent,3) placement=random disks=32 "
+      "policy=fixed:5 sched=sstf workload=poisson(40,300) seed=3 obs=all",
+      7.0);
+  const auto d = digest(trace);
+  EXPECT_EQ(trace.events.size(), 109282u);
+  EXPECT_EQ(d.bytes, 4152716u);
+  EXPECT_EQ(d.hash, 0xa5b3b5b1c7a60bffull);
+}
+
+TEST(TracePin, RoutedOrchestratedEwmaStreamIsPinned) {
+  const auto trace = traced_scenario(
+      "catalog=table1(2000,5) load=0.5 policy=ewma cache=lru:2g replicas=2 "
+      "orch=redirect+offload+writes:0.1+budget:p99:30 "
+      "workload=poisson(2,12000) shards=3 seed=5 obs=all",
+      60.0);
+  const auto d = digest(trace);
+  EXPECT_EQ(trace.events.size(), 245539u);
+  EXPECT_EQ(d.bytes, 9330482u);
+  EXPECT_EQ(d.hash, 0x1d3c9e45df3fbfc9ull);
+  // The stream must exercise every mechanism the scenario names.
+  bool redirect = false, offload = false, destage = false, hit = false;
+  for (const auto& e : trace.events) {
+    redirect = redirect || (e.kind == Kind::kSpan && e.code == kSpanRedirect);
+    hit = hit || (e.kind == Kind::kSpan && e.code == kSpanCacheHit);
+    offload = offload || (e.kind == Kind::kPolicy && e.code == kPolicyOffload);
+    destage = destage || (e.kind == Kind::kPolicy && e.code == kPolicyDestage);
+  }
+  EXPECT_TRUE(redirect && offload && destage && hit);
 }
 
 } // namespace

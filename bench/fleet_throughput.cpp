@@ -2,46 +2,34 @@
 //
 // One scenario, thousands of disks: a synthetic farm at ~0.6 per-disk
 // utilization (24.4 req/s per spindle — 1e5 req/s aggregate at 4096 disks)
-// is run through run_experiment at one shard and through both sys/fleet.h
-// pipelines at 2/4/8 shards:
-//
-//   path=one-shard  shards=1 via run_experiment: one calendar on the
-//                   calling thread (baseline)
-//   path=local      the routerless fast path (cache=none farms qualify):
-//                   workers generate arrivals shard-locally, no router
-//                   thread
-//   path=routed     the pipelined router (forced here for comparison; it
-//                   is what any cache-ful scenario gets), SPSC rings +
-//                   recycled batch arenas
+// is run through run_experiment at one shard (one calendar on the calling
+// thread, the baseline) and through sys/fleet.h's pipeline at 2/4/8 shards
+// (a router on the calling thread, SPSC rings and recycled batch arenas
+// feeding one worker thread per shard).
 //
 // Self-timed (std::chrono); each row reports calendar events executed,
 // wall-clock, events/s and the wall-clock speedup over the one-shard run
 // at the same scale.  Every sharded run is also checked bit-for-bit
 // against the one-shard result (energy, response mean/count, spin-ups,
-// events), so the bench doubles as a large-scale determinism smoke test
-// across both pipelines.  --json additionally emits one kind="shard" row
-// per shard with the FleetPerf counters (submissions, batches, events, ring
-// high-water, worker busy/wait), so routing regressions are diagnosable
-// from BENCH_fleet.json alone.
+// events), so the bench doubles as a large-scale determinism smoke test.
+// --json additionally emits one kind="shard" row per shard with the
+// FleetPerf counters (submissions, batches, events, ring high-water, worker
+// busy/wait), so routing regressions are diagnosable from BENCH_fleet.json
+// alone.
 //
 // `events` counts disk work only (arrivals are routed without calendar
 // events), so it is the same on every row of a scale and events/s compares
-// directly across shard counts and pipelines.  Events per request is a
-// host-free cost counter: the disk spends one calendar event per request
-// (its completion) plus the occasional idle-timer fire, so the bench also
-// exits non-zero if any row of this cache-less farm exceeds
-// kMaxEventsPerRequest.
+// directly across shard counts.  Events per request is a host-free cost
+// counter: the disk spends one calendar event per request (its completion)
+// plus the occasional idle-timer fire, so the bench also exits non-zero if
+// any row of this cache-less farm exceeds kMaxEventsPerRequest.
 //
 // Usage:
-//   fleet_throughput [--quick] [--force-router] [--reps <n>] [--json <path>]
-//                    [--seed <n>]
+//   fleet_throughput [--quick] [--reps <n>] [--json <path>] [--seed <n>]
 //
 // --quick shrinks the farm sizes and horizons to a smoke-test size (CI runs
-// this; timing is not asserted).  --force-router drops the path=local rows
-// and exercises only the router pipeline (CI runs this variant too, so
-// both pipelines stay covered even where classification would pick the
-// fast path).  BENCH_fleet.json at the repo root is the committed snapshot
-// regenerated via:
+// this; timing is not asserted).  BENCH_fleet.json at the repo root is the
+// committed snapshot regenerated via:
 //   ./build/bench/fleet_throughput --json BENCH_fleet.json
 #include <algorithm>
 #include <chrono>
@@ -86,7 +74,6 @@ workload::FileCatalog farm_catalog(std::uint32_t disks) {
 struct Row {
   std::uint32_t disks = 0;
   std::uint32_t shards = 0;
-  std::string path;
   double rate = 0.0;
   double horizon_s = 0.0;
   std::uint64_t requests = 0;
@@ -104,10 +91,6 @@ struct Row {
   }
 };
 
-const char* path_name(sys::FleetPath path) {
-  return path == sys::FleetPath::kShardLocal ? "local" : "routed";
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -115,19 +98,16 @@ int main(int argc, char** argv) {
   if (cli.has("help")) {
     std::cout
         << "usage: " << cli.program()
-        << " [--quick] [--force-router] [--reps <n>] [--json <path>]"
-           " [--seed <n>]\n"
+        << " [--quick] [--reps <n>] [--json <path>] [--seed <n>]\n"
         << "Scales one scenario across 64/512/4096 disks and 1/2/4/8\n"
-        << "calendar shards, on both fleet pipelines (routerless fast\n"
-        << "path and pipelined router; --force-router keeps only the\n"
-        << "latter); reports events/s and the wall-clock speedup over\n"
-        << "the one-shard run, and verifies every sharded result is\n"
-        << "bit-identical to it and every row costs at most\n"
+        << "calendar shards on the fleet pipeline; reports events/s and\n"
+        << "the wall-clock speedup over the one-shard run, and verifies\n"
+        << "every sharded result is bit-identical to it and every row\n"
+        << "costs at most\n"
         << kMaxEventsPerRequest << " calendar events per request.\n";
     return 0;
   }
   const bool quick = cli.has("quick");
-  const bool force_router = cli.has("force-router");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   // Wall-clock per row is the best of `reps` runs: the simulation is
   // deterministic, so repetition only strips scheduler/cache noise from
@@ -144,13 +124,9 @@ int main(int argc, char** argv) {
       quick ? std::vector<std::uint32_t>{64, 512}
             : std::vector<std::uint32_t>{64, 512, 4096};
   const std::vector<std::uint32_t> shard_counts{1, 2, 4, 8};
-  std::vector<sys::FleetPath> paths;
-  if (!force_router) paths.push_back(sys::FleetPath::kShardLocal);
-  paths.push_back(sys::FleetPath::kRouted);
 
   std::cout << "== fleet_throughput ==\n"
-            << "   " << (quick ? "--quick" : "full")
-            << (force_router ? ", --force-router" : "") << "; "
+            << "   " << (quick ? "--quick" : "full") << "; "
             << kRatePerDisk << " req/s per disk, ~"
             << static_cast<std::uint64_t>(target_requests)
             << " requests per scale; " << std::thread::hardware_concurrency()
@@ -164,13 +140,12 @@ int main(int argc, char** argv) {
   if (json != nullptr) {
     json->meta("rate_per_disk", kRatePerDisk);
     json->meta("target_requests", target_requests);
-    json->meta("force_router", force_router);
     json->meta("reps", static_cast<std::int64_t>(reps));
     json->meta("hardware_threads",
                static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   }
 
-  util::TablePrinter table{{"disks", "shards", "path", "requests", "events",
+  util::TablePrinter table{{"disks", "shards", "requests", "events",
                             "events/req", "wall (s)", "events/s", "req/s",
                             "speedup", "identical"}};
   bool all_identical = true;
@@ -191,8 +166,7 @@ int main(int argc, char** argv) {
     cfg.workload = sys::WorkloadSpec::poisson(rate, horizon);
     cfg.seed = seed;
 
-    // Baseline: one shard through run_experiment, on the pipeline the
-    // scenario classifies to.
+    // Baseline: one shard through run_experiment.
     cfg.shards = 1;
     sys::RunResult baseline;
     sys::FleetPerf baseline_perf;
@@ -210,8 +184,7 @@ int main(int argc, char** argv) {
       max_events_per_request =
           std::max(max_events_per_request, row.events_per_request());
       table.add_row({std::to_string(row.disks), std::to_string(row.shards),
-                     row.path, std::to_string(row.requests),
-                     std::to_string(row.events),
+                     std::to_string(row.requests), std::to_string(row.events),
                      util::format_double(row.events_per_request(), 3),
                      util::format_double(row.wall_s, 3),
                      util::format_double(row.events_per_sec(), 0),
@@ -222,7 +195,6 @@ int main(int argc, char** argv) {
       json->row({{"kind", "run"},
                  {"disks", row.disks},
                  {"shards", row.shards},
-                 {"path", row.path},
                  {"rate_req_per_s", row.rate},
                  {"horizon_s", row.horizon_s},
                  {"requests", row.requests},
@@ -237,16 +209,11 @@ int main(int argc, char** argv) {
                  {"router_busy_s", perf.router_busy_s},
                  {"router_stall_s", perf.router_stall_s}});
       for (const auto& s : perf.per_shard) {
-        // Worker timings index workers, not shards; they coincide on the
-        // routed path (one worker per shard).  On the fast path a worker
-        // may drive several shards, so charge its times to each shard it
-        // owns (shard s belongs to worker s % workers by construction).
-        const std::size_t w = s.shard % perf.workers;
+        // One worker per shard, so worker timings index shards too.
         json->row(
             {{"kind", "shard"},
              {"disks", row.disks},
              {"shards", row.shards},
-             {"path", row.path},
              {"shard", s.shard},
              {"submissions", s.submissions},
              {"batches", s.batches},
@@ -254,8 +221,8 @@ int main(int argc, char** argv) {
              {"events_per_sec",
               row.wall_s > 0 ? s.events / row.wall_s : 0.0},
              {"ring_high_water", static_cast<std::uint64_t>(s.ring_high_water)},
-             {"worker_busy_s", perf.worker_busy_s[w]},
-             {"worker_wait_s", perf.worker_wait_s[w]}});
+             {"worker_busy_s", perf.worker_busy_s[s.shard]},
+             {"worker_wait_s", perf.worker_wait_s[s.shard]}});
       }
     };
 
@@ -263,7 +230,6 @@ int main(int argc, char** argv) {
       Row row;
       row.disks = disks;
       row.shards = 1;
-      row.path = "one-shard";
       row.rate = rate;
       row.horizon_s = horizon;
       row.requests = baseline.requests;
@@ -276,50 +242,46 @@ int main(int argc, char** argv) {
 
     for (const std::uint32_t shards : shard_counts) {
       if (shards == 1) continue; // the one-shard row above
-      for (const sys::FleetPath path : paths) {
-        sys::FleetPerf perf;
-        sys::RunResult result;
-        double wall = 0.0;
-        for (int rep = 0; rep < reps; ++rep) {
-          const auto t0 = std::chrono::steady_clock::now();
-          result = sys::run_fleet(cfg, shards, path, &perf);
-          const double rep_wall = std::chrono::duration<double>(
-                                      std::chrono::steady_clock::now() - t0)
-                                      .count();
-          wall = rep == 0 ? rep_wall : std::min(wall, rep_wall);
-        }
-
-        Row row;
-        row.disks = disks;
-        row.shards = shards;
-        row.path = path_name(path);
-        row.rate = rate;
-        row.horizon_s = horizon;
-        row.requests = result.requests;
-        row.events = result.events;
-        row.wall_s = wall;
-        row.speedup = row.wall_s > 0 ? baseline_wall / row.wall_s : 0.0;
-        row.identical =
-            result.power.energy == baseline.power.energy &&
-            result.power.saving_vs_always_on ==
-                baseline.power.saving_vs_always_on &&
-            result.response.count() == baseline.response.count() &&
-            result.response.mean() == baseline.response.mean() &&
-            result.response.max() == baseline.response.max() &&
-            result.power.spin_ups == baseline.power.spin_ups &&
-            result.requests == baseline.requests &&
-            result.events == baseline.events;
-        all_identical = all_identical && row.identical;
-        emit(row, perf);
+      sys::FleetPerf perf;
+      sys::RunResult result;
+      double wall = 0.0;
+      for (int rep = 0; rep < reps; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        result = sys::run_fleet(cfg, shards, &perf);
+        const double rep_wall = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count();
+        wall = rep == 0 ? rep_wall : std::min(wall, rep_wall);
       }
+
+      Row row;
+      row.disks = disks;
+      row.shards = shards;
+      row.rate = rate;
+      row.horizon_s = horizon;
+      row.requests = result.requests;
+      row.events = result.events;
+      row.wall_s = wall;
+      row.speedup = row.wall_s > 0 ? baseline_wall / row.wall_s : 0.0;
+      row.identical =
+          result.power.energy == baseline.power.energy &&
+          result.power.saving_vs_always_on ==
+              baseline.power.saving_vs_always_on &&
+          result.response.count() == baseline.response.count() &&
+          result.response.mean() == baseline.response.mean() &&
+          result.response.max() == baseline.response.max() &&
+          result.power.spin_ups == baseline.power.spin_ups &&
+          result.requests == baseline.requests &&
+          result.events == baseline.events;
+      all_identical = all_identical && row.identical;
+      emit(row, perf);
     }
   }
 
   table.print(std::cout);
   std::cout << "\ndeterminism: "
             << (all_identical
-                    ? "every sharded run bit-identical to shards=1, on "
-                      "every pipeline"
+                    ? "every sharded run bit-identical to shards=1"
                     : "MISMATCH against shards=1 (bug)")
             << "\n";
   const bool lean = max_events_per_request <= kMaxEventsPerRequest;

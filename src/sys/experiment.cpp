@@ -448,7 +448,7 @@ RunResult run_experiment(const ExperimentConfig& config, obs::RunTrace* trace,
   }
   const std::uint32_t shards =
       effective_shards(config.shards, config.num_disks);
-  return run_fleet(config, shards, classify_fleet_path(config), perf, trace);
+  return run_fleet(config, shards, perf, trace);
 }
 
 } // namespace spindown::sys

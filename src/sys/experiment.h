@@ -151,12 +151,6 @@ struct CacheSpec {
 
   /// nullptr for kNone.
   std::unique_ptr<cache::FileCache> make() const;
-
-  /// True when the cache never couples requests routed to different disks
-  /// — i.e. there is no cache — so a sharded fleet run may skip the router
-  /// and generate arrivals shard-locally (sys/fleet.h FleetPath).  Any
-  /// real cache is shared mutable state keyed by global arrival order.
-  bool shard_decomposable() const { return kind == Kind::kNone; }
 };
 
 /// Observability selection (src/obs/): which trace-event families a run
@@ -284,9 +278,10 @@ struct ExperimentConfig {
   /// orchestration's read redirection ever routes to a replica other than
   /// the primary.
   std::uint32_t replicas = 1;
-  /// Fleet orchestration (`orch=` scenario key).  When enabled() the run
-  /// takes the fleet router path at any shard count and num_disks includes
-  /// orch.log_disks always-on log disks appended after the data disks.
+  /// Fleet orchestration (`orch=` scenario key).  When enabled() the fleet
+  /// router rewrites the arrival stream at any shard count, and num_disks
+  /// includes orch.log_disks always-on log disks appended after the data
+  /// disks.
   OrchSpec orch;
   /// Which trace-event families to record when the run is handed a
   /// RunTrace sink.  Ignored (zero-cost) without one.

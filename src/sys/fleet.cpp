@@ -36,8 +36,6 @@ using obs::seconds_since;
 /// backpressure point in the pipeline.
 constexpr std::size_t kBatchesPerShard = 16;
 
-constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
-
 /// Advance `frontier` one window and fill `block` with every arrival below
 /// it.  Across an idle stretch the frontier jumps to the window after the
 /// next arrival instead of stepping through empty windows one by one.
@@ -109,8 +107,7 @@ struct ShardBatch {
 
 /// One shard's private calendar: the disks with id % shards == shard
 /// (local index l holds global disk shard + l * shards), per-disk response
-/// accumulators, and the horizon-snapshot rule — identical for both
-/// pipelines.
+/// accumulators, and the horizon-snapshot rule.
 /// Heap-allocated and never moved: the completion callbacks capture member
 /// addresses.
 class ShardSim {
@@ -210,7 +207,7 @@ private:
   std::uint64_t submissions_ = 0;
 };
 
-/// Everything both pipelines derive from the config before any thread
+/// Everything the pipeline derives from the config before any thread
 /// starts: the shard partition, the per-disk RNGs (split in disk-id order
 /// on the calling thread, so each disk's draw stream is a function of
 /// (seed, disk id) alone, never of the partition), and the shared
@@ -226,7 +223,7 @@ struct FleetSetup {
   /// because it is always on (policies[] points here for log disks).
   PolicySpec log_policy = PolicySpec::never();
   /// Tracing: the sim-time kinds every shard calendar records (kProfile
-  /// samples are collected by the pipelines themselves), and whether the
+  /// samples are collected by the pipeline itself), and whether the
   /// pipeline stages are profiled, as wall-clock offsets from the run-wide
   /// prof_t0 so every lane shares one time origin.
   std::uint32_t sim_mask = 0;
@@ -272,206 +269,19 @@ struct FleetSetup {
 };
 
 // ---------------------------------------------------------------------------
-// Routerless fast path: shard-local arrival generation.
-// ---------------------------------------------------------------------------
-
-/// One fast-path worker thread: drives the shard calendars in `owned`.
-/// The synthetic arrival draws are a single global RNG stream, so every
-/// worker replays the whole stream (identical clone, identical draws) and
-/// keeps the arrivals its shards own — routing is the pure function
-/// mapping[file], so no shared mutable state exists and no two workers
-/// ever communicate.  Multiplexing several shard calendars onto one
-/// worker changes nothing: the calendars are independent, and each one
-/// sees exactly its own arrivals in arrival order.
-struct LocalWorker {
-  const ExperimentConfig* config = nullptr;
-  const FleetSetup* setup = nullptr;
-  std::vector<std::uint32_t> owned;               ///< shard indices
-  std::vector<std::unique_ptr<ShardSim>> sims;    ///< parallel to owned
-  std::uint64_t generated = 0;  ///< whole-stream arrival count
-  double busy_s = 0.0;
-  std::exception_ptr error;
-  std::vector<RunResult>* partials = nullptr;  ///< slot s+1 per shard s
-  std::vector<obs::TraceEvent> prof; ///< kProfWorkerReplay, read after join
-
-  void run() {
-    try {
-      simulate();
-    } catch (...) {
-      error = std::current_exception();
-    }
-  }
-
-private:
-  void simulate() {
-    const auto t0 = PerfClock::now();
-    const std::uint32_t shards = setup->shards;
-    const bool profiling = setup->profiling;
-    const auto prof_t0 = setup->prof_t0;
-    std::vector<std::uint32_t> slot(shards, kNoSlot);
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      slot[owned[i]] = static_cast<std::uint32_t>(i);
-    }
-    const auto stream =
-        config->workload.make_stream(*config->catalog, config->seed);
-    workload::WindowedStream windowed{*stream};
-    workload::RequestBlock block;
-    // Demux generation windows into per-shard batches and flush a whole
-    // stretch of windows at once: replaying kBatchesPerShard windows of
-    // one shard consecutively before touching the next keeps a single
-    // calendar's working set hot, exactly the drain pattern the routed
-    // pipeline's ring depth produces.  The batching exists purely for
-    // cache locality — there is no causality to protect — and cannot
-    // change results: each shard still sees its own arrivals in arrival
-    // order, and the interleaved run_until targets are monotone per
-    // shard, so the per-shard event execution sequence is identical to
-    // replaying arrival by arrival.
-    const double window = std::max(1e-3, setup->horizon / 256.0);
-    std::vector<ShardBatch> batches(owned.size());
-    double frontier = 0.0;
-    std::size_t buffered_windows = 0;
-    std::uint64_t flushes = 0;
-    const auto flush = [&] {
-      for (std::size_t s = 0; s < owned.size(); ++s) {
-        auto& batch = batches[s];
-        auto& sim = *sims[s];
-        const double p0 = profiling ? seconds_since(prof_t0) : 0.0;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          sim.advance(batch.time[i]);
-          sim.submit(batch.local_disk[i], batch.request_id[i],
-                     batch.bytes[i], batch.lba[i], batch.blocks[i]);
-        }
-        if (frontier > sim.now()) sim.advance(frontier);
-        batch.reset();
-        if (profiling) {
-          prof.push_back(obs::TraceEvent{p0, flushes,
-                                         seconds_since(prof_t0) - p0, 0.0,
-                                         owned[s], obs::Kind::kProfile,
-                                         obs::kProfWorkerReplay});
-        }
-      }
-      buffered_windows = 0;
-      ++flushes;
-    };
-    while (!windowed.exhausted()) {
-      frontier = fill_window(windowed, frontier, window, block);
-      generated += block.size();
-      for (std::size_t i = 0; i < block.size(); ++i) {
-        const auto& file = config->catalog->by_id(block.file[i]);
-        const std::uint32_t disk = config->mapping[file.id];
-        const std::uint32_t s = slot[disk % shards];
-        if (s == kNoSlot) continue; // another worker's shard
-        const auto& extent = setup->extents[file.id];
-        const std::uint64_t lba = block.lba[i] != workload::kNoLba
-                                      ? block.lba[i]
-                                      : extent.lba;
-        batches[s].push(block.arrival[i], block.id[i], file.size, lba,
-                        extent.blocks, disk / shards);
-      }
-      if (++buffered_windows == kBatchesPerShard) flush();
-    }
-    flush();
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      (*partials)[owned[i] + 1] = sims[i]->finalize();
-    }
-    busy_s = seconds_since(t0);
-  }
-};
-
-std::vector<RunResult> run_shard_local(const ExperimentConfig& config,
-                                       const FleetSetup& setup,
-                                       FleetPerf* perf,
-                                       obs::RunTrace* trace) {
-  const std::uint32_t shards = setup.shards;
-  std::uint32_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  const std::uint32_t n_workers = std::min(shards, hw);
-
-  std::vector<RunResult> partials(1 + shards);
-  std::vector<LocalWorker> workers(n_workers);
-  for (std::uint32_t w = 0; w < n_workers; ++w) {
-    workers[w].config = &config;
-    workers[w].setup = &setup;
-    workers[w].partials = &partials;
-    for (std::uint32_t s = w; s < shards; s += n_workers) {
-      workers[w].owned.push_back(s);
-      workers[w].sims.push_back(setup.make_sim(config, s));
-    }
-  }
-  {
-    // The calling thread drives worker 0, so a one-shard run starts no
-    // thread at all.
-    std::vector<std::jthread> threads;
-    threads.reserve(n_workers - 1);
-    for (std::uint32_t w = 1; w < n_workers; ++w) {
-      threads.emplace_back([&worker = workers[w]] { worker.run(); });
-    }
-    workers[0].run();
-  } // workers join here
-  // Worker 0 owns shard 0: errors rethrow in lowest-shard-first order, the
-  // same schedule-independent convention as run_sweep.
-  for (const auto& worker : workers) {
-    if (worker.error) std::rethrow_exception(worker.error);
-  }
-
-  RunResult& root = partials[0];
-  root.power.horizon_s = setup.horizon;
-  root.requests = workers[0].generated; // every worker replays the whole
-                                        // stream; the counts are equal
-
-  if (trace != nullptr) {
-    trace->horizon_s = setup.horizon;
-    trace->shards = shards;
-    trace->workers = n_workers;
-    if (setup.sim_mask != 0) {
-      // Buffers gathered in shard order; append_canonical re-sorts by
-      // track (stably), so the gather order never shows in the output.
-      std::vector<obs::TraceBuffer*> buffers(shards, nullptr);
-      for (const auto& worker : workers) {
-        for (std::size_t i = 0; i < worker.owned.size(); ++i) {
-          buffers[worker.owned[i]] = worker.sims[i]->trace_buffer();
-        }
-      }
-      obs::append_canonical(trace->events, buffers);
-    }
-    for (const auto& worker : workers) {
-      trace->profile.insert(trace->profile.end(), worker.prof.begin(),
-                            worker.prof.end());
-    }
-    sort_profile(trace->profile);
-  }
-
-  if (perf != nullptr) {
-    perf->workers = n_workers;
-    perf->per_shard.resize(shards);
-    perf->worker_busy_s.assign(n_workers, 0.0);
-    perf->worker_wait_s.assign(n_workers, 0.0);
-    for (std::uint32_t w = 0; w < n_workers; ++w) {
-      perf->worker_busy_s[w] = workers[w].busy_s;
-      for (std::size_t i = 0; i < workers[w].owned.size(); ++i) {
-        const std::uint32_t s = workers[w].owned[i];
-        perf->per_shard[s].shard = s;
-        perf->per_shard[s].submissions = workers[w].sims[i]->submissions();
-        perf->per_shard[s].events = partials[s + 1].events;
-      }
-    }
-  }
-  return partials;
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined router path: lock-free per-shard rings, recycled batch arenas.
+// The pipeline: a router on the calling thread, lock-free per-shard rings,
+// recycled batch arenas.
 // ---------------------------------------------------------------------------
 
 /// Raised inside the router loop when a worker closed its rings (the
 /// worker's own exception is the root cause and is rethrown after join).
 struct PipelineAborted {};
 
-/// One routed shard: a private calendar, the full ring (router -> worker,
-/// carries filled batches) and the free ring (worker -> router, recycles
-/// drained arenas).  The arenas double-buffer generically: the router
-/// fills window N+1 (or several) while the worker drains window N, and a
-/// full free ring is what parks an idle router.
+/// One shard of the pipeline: a private calendar, the full ring (router ->
+/// worker, carries filled batches) and the free ring (worker -> router,
+/// recycles drained arenas).  The arenas double-buffer generically: the
+/// router fills window N+1 (or several) while the worker drains window N,
+/// and a full free ring is what parks an idle router.
 struct RoutedShard {
   std::unique_ptr<ShardSim> sim;
   util::SpscRing<ShardBatch*> full{kBatchesPerShard};
@@ -576,7 +386,7 @@ double sleep_after_estimate(const ExperimentConfig& config) {
   }
 }
 
-/// Build the orchestration controller for a routed run, or null when the
+/// Build the orchestration controller for a run, or null when the
 /// scenario has orchestration off.
 std::unique_ptr<orch::FleetController> make_controller(
     const ExperimentConfig& config, const FleetSetup& setup,
@@ -604,9 +414,74 @@ std::unique_ptr<orch::FleetController> make_controller(
                                                  setup.extents, trace);
 }
 
-std::vector<RunResult> run_routed(const ExperimentConfig& config,
-                                  const FleetSetup& setup, FleetPerf* perf,
-                                  obs::RunTrace* trace) {
+/// Append the controller's rewritten submissions to their shards' batches.
+void push_submissions(const std::vector<orch::Submission>& subs,
+                      std::uint32_t shards, ShardBatch* const* current) {
+  for (const auto& sub : subs) {
+    current[sub.disk % shards]->push(sub.t, sub.request_id, sub.bytes, sub.lba,
+                                     sub.blocks, sub.disk / shards,
+                                     sub.background);
+  }
+}
+
+/// Route one generation window: every cache access, mapping lookup and
+/// orchestration decision for `block`, in global arrival order, appended to
+/// the shards' current batches (`current[s]` for shard s).  A standalone
+/// function rather than a closure over the router's locals: with everything
+/// it reads passed explicitly, the loop state stays in registers across the
+/// batch appends.  `spans` is non-null only when a cache is present and
+/// span tracing is on; cache hits are served from memory with zero latency,
+/// never reach a disk, and are recorded into `hits` and `hist`.
+void route_window(const workload::RequestBlock& block,
+                  const workload::FileCatalog& catalog,
+                  const std::uint32_t* mapping,
+                  const workload::FileExtent* extents, cache::FileCache* cache,
+                  orch::FleetController* controller, obs::TraceBuffer* spans,
+                  std::uint32_t shards, ShardBatch* const* current,
+                  std::vector<orch::Submission>& subs, stats::Welford& hits,
+                  stats::LinearHistogram& hist) {
+  const std::size_t n = block.size();
+  const double* arrival = block.arrival.data();
+  const std::uint64_t* id = block.id.data();
+  const workload::FileId* file_id = block.file.data();
+  const std::uint64_t* block_lba = block.lba.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& file = catalog.by_id(file_id[i]);
+    if (cache != nullptr && cache->access(file.id, file.size)) {
+      if (spans != nullptr) {
+        spans->emit(obs::Kind::kSpan, obs::kSpanCacheHit, arrival[i],
+                    obs::kDispatcherTrack, id[i], file.size);
+      }
+      hits.add(0.0);
+      hist.add(0.0);
+      continue;
+    }
+    const std::uint32_t disk = mapping[file.id];
+    if (spans != nullptr) {
+      spans->emit(obs::Kind::kSpan, obs::kSpanCacheMiss, arrival[i],
+                  obs::kDispatcherTrack, id[i], disk);
+    }
+    if (controller != nullptr) {
+      // Deadline destages due before this arrival ship first (each at its
+      // own deadline time), then the arrival's rewritten submissions — so
+      // per-shard batch times stay non-decreasing.
+      subs.clear();
+      controller->flush_deadlines(arrival[i], subs);
+      controller->route(arrival[i], id[i], file, subs);
+      push_submissions(subs, shards, current);
+      continue;
+    }
+    const auto& extent = extents[file.id];
+    const std::uint64_t lba =
+        block_lba[i] != workload::kNoLba ? block_lba[i] : extent.lba;
+    current[disk % shards]->push(arrival[i], id[i], file.size, lba,
+                                 extent.blocks, disk / shards);
+  }
+}
+
+std::vector<RunResult> run_pipeline(const ExperimentConfig& config,
+                                    const FleetSetup& setup, FleetPerf* perf,
+                                    obs::RunTrace* trace) {
   const std::uint32_t shards = setup.shards;
   const double horizon = setup.horizon;
 
@@ -636,8 +511,9 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
   // span events (cache hit/miss) are emitted here, in the same order at any
   // shard count.
   obs::TraceBuffer router_trace{setup.sim_mask};
-  const bool span_trace =
-      cache != nullptr && router_trace.wants(obs::Kind::kSpan);
+  obs::TraceBuffer* const spans =
+      cache != nullptr && router_trace.wants(obs::Kind::kSpan) ? &router_trace
+                                                               : nullptr;
   // Orchestration: the controller rewrites the post-cache arrival stream in
   // global arrival order — a deterministic, shard-count-invariant function
   // — emitting its decisions onto the dispatcher track.
@@ -651,7 +527,6 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
   stats::LinearHistogram root_hist{stats::ResponseSummary::kHistLo,
                                    stats::ResponseSummary::kHistHi,
                                    stats::ResponseSummary::kHistBins};
-  std::uint64_t dispatched = 0;
   std::vector<std::size_t> high_water(shards, 0);
   double router_stall = 0.0;
   double router_wall = 0.0;
@@ -700,12 +575,8 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
       workload::WindowedStream windowed{*stream};
       workload::RequestBlock block;
       std::vector<ShardBatch*> current(shards, nullptr);
-      const auto push_subs = [&] {
-        for (const auto& sub : subs) {
-          current[sub.disk % shards]->push(sub.t, sub.request_id, sub.bytes,
-                                           sub.lba, sub.blocks,
-                                           sub.disk / shards, sub.background);
-        }
+      const auto acquire_all = [&] {
+        for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
       };
       const auto publish_all = [&](double advance_to) {
         for (std::uint32_t w = 0; w < shards; ++w) {
@@ -719,57 +590,22 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
         const double f0 =
             setup.profiling ? seconds_since(setup.prof_t0) : 0.0;
         frontier = fill_window(windowed, frontier, window, block);
-        for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
+        acquire_all();
         // Whole-window decision batch: every cache access and mapping
         // lookup happens here, in global arrival order, before anything is
         // published.
-        for (std::size_t i = 0; i < block.size(); ++i) {
-          ++dispatched;
-          const auto& file = config.catalog->by_id(block.file[i]);
-          if (cache != nullptr && cache->access(file.id, file.size)) {
-            // Cache hit, served from memory with zero latency: the disks
-            // never see it, and its response is recorded here, in arrival
-            // order.
-            if (span_trace) {
-              router_trace.emit(obs::Kind::kSpan, obs::kSpanCacheHit,
-                                block.arrival[i], obs::kDispatcherTrack,
-                                block.id[i], file.size);
-            }
-            root.hits_response.add(0.0);
-            root_hist.add(0.0);
-            continue;
-          }
-          const auto& extent = setup.extents[file.id];
-          const std::uint64_t lba = block.lba[i] != workload::kNoLba
-                                        ? block.lba[i]
-                                        : extent.lba;
-          const std::uint32_t disk = config.mapping[file.id];
-          if (span_trace) {
-            router_trace.emit(obs::Kind::kSpan, obs::kSpanCacheMiss,
-                              block.arrival[i], obs::kDispatcherTrack,
-                              block.id[i], disk);
-          }
-          if (controller != nullptr) {
-            // Deadline destages due before this arrival ship first (each
-            // at its own deadline time), then the arrival's rewritten
-            // submissions — so per-shard batch times stay non-decreasing.
-            subs.clear();
-            controller->flush_deadlines(block.arrival[i], subs);
-            controller->route(block.arrival[i], block.id[i], file, subs);
-            push_subs();
-            continue;
-          }
-          current[disk % shards]->push(block.arrival[i], block.id[i],
-                                       file.size, lba, extent.blocks,
-                                       disk / shards);
-        }
+        root.requests += block.size();
+        route_window(block, *config.catalog, config.mapping.data(),
+                     setup.extents.data(), cache.get(), controller.get(),
+                     spans, shards, current.data(), subs, root.hits_response,
+                     root_hist);
         if (controller != nullptr) {
           // Destages due inside this window but after its last arrival:
           // flushed at the frontier so the next window's arrivals (all
           // >= frontier) still land after them.
           subs.clear();
           controller->flush_deadlines(frontier, subs);
-          push_subs();
+          push_submissions(subs, shards, current.data());
         }
         publish_all(frontier);
         if (setup.profiling) {
@@ -787,8 +623,8 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
         subs.clear();
         controller->flush_deadlines(horizon, subs);
         if (!subs.empty()) {
-          for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
-          push_subs();
+          acquire_all();
+          push_submissions(subs, shards, current.data());
           publish_all(horizon);
         }
       }
@@ -816,7 +652,6 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
   }
   if (router_error) std::rethrow_exception(router_error);
 
-  root.requests = dispatched;
   if (cache != nullptr) root.cache = cache->stats();
   root.recompute_from_per_disk(root_hist);
 
@@ -872,12 +707,6 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
 
 } // namespace
 
-FleetPath classify_fleet_path(const ExperimentConfig& config) {
-  return config.cache.shard_decomposable() && !config.orch.enabled()
-             ? FleetPath::kShardLocal
-             : FleetPath::kRouted;
-}
-
 std::uint32_t effective_shards(std::uint32_t requested,
                                std::uint32_t num_disks) {
   std::uint32_t shards = requested;
@@ -897,7 +726,7 @@ std::uint32_t effective_shards(std::uint32_t requested,
 
 std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
                                           std::uint32_t shards,
-                                          FleetPath path, FleetPerf* perf,
+                                          FleetPerf* perf,
                                           obs::RunTrace* trace) {
   if (config.catalog == nullptr) {
     throw std::invalid_argument{"ExperimentConfig: catalog is required"};
@@ -911,13 +740,6 @@ std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
           "run_fleet: mapping references disk >= num_disks"};
     }
   }
-  if (path == FleetPath::kShardLocal &&
-      classify_fleet_path(config) != FleetPath::kShardLocal) {
-    throw std::invalid_argument{
-        "run_fleet: the shard-local fast path requires a shard-decomposable "
-        "scenario (cache=none and a static placement mapping); this config "
-        "needs the router"};
-  }
   shards = std::max<std::uint32_t>(
       1, std::min(shards, std::max<std::uint32_t>(1, config.num_disks)));
 
@@ -925,24 +747,17 @@ std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
   const FleetSetup setup{config, shards, trace};
   if (perf != nullptr) {
     *perf = FleetPerf{};
-    perf->path = path;
     perf->shards = shards;
   }
-  return path == FleetPath::kShardLocal
-             ? run_shard_local(config, setup, perf, trace)
-             : run_routed(config, setup, perf, trace);
+  return run_pipeline(config, setup, perf, trace);
 }
 
 RunResult run_fleet(const ExperimentConfig& config, std::uint32_t shards,
-                    FleetPath path, FleetPerf* perf, obs::RunTrace* trace) {
-  auto partials = run_fleet_partials(config, shards, path, perf, trace);
+                    FleetPerf* perf, obs::RunTrace* trace) {
+  auto partials = run_fleet_partials(config, shards, perf, trace);
   RunResult result = std::move(partials.front());
   for (std::size_t i = 1; i < partials.size(); ++i) result.merge(partials[i]);
   return result;
-}
-
-RunResult run_fleet(const ExperimentConfig& config, std::uint32_t shards) {
-  return run_fleet(config, shards, classify_fleet_path(config));
 }
 
 } // namespace spindown::sys

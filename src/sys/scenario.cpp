@@ -742,10 +742,7 @@ std::string to_json(const RunResult& r) {
 std::string to_json(const FleetPerf& perf) {
   const auto num = [](double v) { return util::format_roundtrip(v); };
   std::string out = "{";
-  out += "\"path\": \"";
-  out += perf.path == FleetPath::kShardLocal ? "shard-local" : "routed";
-  out += "\"";
-  out += ", \"shards\": " + std::to_string(perf.shards);
+  out += "\"shards\": " + std::to_string(perf.shards);
   out += ", \"workers\": " + std::to_string(perf.workers);
   out += ", \"router_busy_s\": " + num(perf.router_busy_s);
   out += ", \"router_stall_s\": " + num(perf.router_stall_s);

@@ -11,11 +11,13 @@
 // view of the opposite cursor, so a push/pop only touches the shared
 // counter it owns until the cached view says the ring might be full/empty.
 //
-// try_push/try_pop are wait-free.  The blocking push/pop wrappers spin
-// briefly, then yield, then sleep in short fixed increments; they return
-// false once close() has been called (and, for pop, the ring has drained),
-// which is the shutdown/abort path.  close() may be called by either side
-// or by a third thread.
+// try_push/try_pop are wait-free.  The blocking pop spins briefly, then
+// yields, then sleeps in short fixed increments; it returns false once
+// close() has been called and the ring has drained, which is the
+// shutdown/abort path.  There is no blocking push: the fleet only pushes
+// arenas it popped from a ring of equal capacity, so a push cannot find
+// the ring full.  close() may be called by either side or by a third
+// thread.
 //
 // Determinism: this header is pure synchronization — no wall-clock reads,
 // no ambient entropy (sleep_for takes a duration and never observes a
@@ -97,17 +99,6 @@ public:
     return true;
   }
 
-  /// Blocking push: retries with backoff until a slot frees up.  Returns
-  /// false — without consuming `value` — once the ring is closed.
-  bool push(T value) {
-    Backoff backoff;
-    for (;;) {
-      if (closed()) return false;
-      if (try_push(value)) return true;
-      backoff.pause();
-    }
-  }
-
   /// Blocking pop: retries with backoff until an element arrives.  Returns
   /// false once the ring is closed *and* drained — elements pushed before
   /// close() are still delivered.
@@ -120,7 +111,8 @@ public:
     return true;
   }
 
-  /// Shutdown/abort signal: wakes any blocked push/pop (they return false).
+  /// Shutdown/abort signal: wakes a blocked pop (it returns false once the
+  /// ring has drained).
   /// Idempotent; callable from any thread.
   void close() { closed_.store(true, std::memory_order_release); }
 

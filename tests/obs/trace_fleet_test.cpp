@@ -1,6 +1,6 @@
 // Shard-count bit-identity of the canonical trace stream: the sim-time
-// events recorded by a sharded fleet run — on either pipeline — must equal
-// the one-shard run's trace exactly (TraceEvent field-wise equality),
+// events recorded by a sharded fleet run must equal the one-shard run's
+// trace exactly (TraceEvent field-wise equality),
 // mirroring the RunResult invariance contract in tests/sys/fleet_test.cpp.
 // Two scenario streams are also pinned by length and hash, so a change to
 // the disk's event mechanics must leave every sim-time edge where it was.
@@ -59,30 +59,37 @@ void expect_same_trace(const RunTrace& a, const RunTrace& b,
   EXPECT_DOUBLE_EQ(a.horizon_s, b.horizon_s);
 }
 
-TEST(TraceFleetIdentity, RouterlessPathMatchesSingleCalendar) {
+TEST(TraceFleetIdentity, CachelessRunMatchesSingleCalendar) {
   const auto cat = fleet_catalog();
-  auto cfg = fleet_config(cat, 24); // cache=none -> shard-decomposable
+  for (const std::uint32_t disks : {16u, 24u}) {
+    const auto cfg = fleet_config(cat, disks); // cache=none
 
-  RunTrace single;
-  const auto base = sys::run_experiment(cfg, &single);
-  ASSERT_FALSE(single.events.empty());
+    RunTrace single;
+    const auto base = sys::run_experiment(cfg, &single);
+    ASSERT_FALSE(single.events.empty());
+    // No cache, no orchestration: the router routes by mapping alone and
+    // emits nothing onto the dispatcher track.
+    for (const auto& e : single.events) {
+      EXPECT_NE(e.track, kDispatcherTrack);
+    }
 
-  for (const std::uint32_t shards : {2u, 4u, 8u}) {
-    RunTrace sharded;
-    const auto r = sys::run_fleet(cfg, shards, sys::FleetPath::kShardLocal,
-                                  nullptr, &sharded);
-    expect_same_trace(single, sharded,
-                      "shard-local, shards=" + std::to_string(shards));
-    EXPECT_EQ(r.events, base.events);
-    EXPECT_EQ(r.requests, base.requests);
-    EXPECT_DOUBLE_EQ(r.power.energy, base.power.energy);
+    for (const std::uint32_t shards : {2u, 4u, 8u}) {
+      RunTrace sharded;
+      const auto r = sys::run_fleet(cfg, shards, nullptr, &sharded);
+      expect_same_trace(single, sharded,
+                        "disks=" + std::to_string(disks) +
+                            ", shards=" + std::to_string(shards));
+      EXPECT_EQ(r.events, base.events);
+      EXPECT_EQ(r.requests, base.requests);
+      EXPECT_DOUBLE_EQ(r.power.energy, base.power.energy);
+    }
   }
 }
 
 TEST(TraceFleetIdentity, RoutedPathMatchesSingleCalendar) {
   const auto cat = fleet_catalog();
   auto cfg = fleet_config(cat, 24);
-  cfg.cache = sys::CacheSpec::lru(util::mb(200.0)); // forces the router
+  cfg.cache = sys::CacheSpec::lru(util::mb(200.0)); // router emits hit/miss
 
   RunTrace single;
   const auto base = sys::run_experiment(cfg, &single);
@@ -98,38 +105,22 @@ TEST(TraceFleetIdentity, RoutedPathMatchesSingleCalendar) {
 
   for (const std::uint32_t shards : {1u, 2u, 4u}) {
     RunTrace sharded;
-    const auto r = sys::run_fleet(cfg, shards, sys::FleetPath::kRouted,
-                                  nullptr, &sharded);
+    const auto r = sys::run_fleet(cfg, shards, nullptr, &sharded);
     expect_same_trace(single, sharded,
-                      "routed, shards=" + std::to_string(shards));
+                      "cached, shards=" + std::to_string(shards));
     EXPECT_EQ(r.events, base.events);
     EXPECT_EQ(r.cache.hits, base.cache.hits);
     EXPECT_DOUBLE_EQ(r.power.energy, base.power.energy);
   }
 }
 
-TEST(TraceFleetIdentity, ForcedRouterOnDecomposableConfigMatchesToo) {
-  // cache=none normally takes the fast path; forcing the router must
-  // produce the same trace — the dispatcher track is simply empty (no
-  // cache, no hit/miss events), exactly like the routerless run.
-  const auto cat = fleet_catalog();
-  auto cfg = fleet_config(cat, 16);
-
-  RunTrace single;
-  (void)sys::run_experiment(cfg, &single);
-  RunTrace routed;
-  (void)sys::run_fleet(cfg, 4, sys::FleetPath::kRouted, nullptr, &routed);
-  expect_same_trace(single, routed, "forced router, shards=4");
-}
-
 TEST(TraceFleetIdentity, TracedFleetRunMatchesUntracedResult) {
   const auto cat = fleet_catalog();
   auto cfg = fleet_config(cat, 24);
 
-  const auto plain = sys::run_fleet(cfg, 4, sys::FleetPath::kShardLocal);
+  const auto plain = sys::run_fleet(cfg, 4);
   RunTrace trace;
-  const auto traced =
-      sys::run_fleet(cfg, 4, sys::FleetPath::kShardLocal, nullptr, &trace);
+  const auto traced = sys::run_fleet(cfg, 4, nullptr, &trace);
   // Tracing is read-only — including the engine's event counter (sampler
   // ticks are subtracted).
   EXPECT_EQ(traced.events, plain.events);
@@ -143,33 +134,32 @@ TEST(TraceFleetProfile, ProfileSamplesStayOutOfTheCanonicalStream) {
   auto cfg = fleet_config(cat, 16);
   cfg.obs.profile = true;
 
-  RunTrace fast;
-  (void)sys::run_fleet(cfg, 4, sys::FleetPath::kShardLocal, nullptr, &fast);
-  EXPECT_FALSE(fast.profile.empty());
-  for (const auto& e : fast.events) {
-    EXPECT_NE(e.kind, Kind::kProfile);
-  }
-  for (const auto& e : fast.profile) {
-    EXPECT_EQ(e.kind, Kind::kProfile);
-    EXPECT_EQ(e.code, kProfWorkerReplay); // no router on the fast path
-    EXPECT_GE(e.value, 0.0);
-  }
-
-  RunTrace routed;
-  cfg.cache = sys::CacheSpec::lru(util::mb(200.0));
-  (void)sys::run_fleet(cfg, 4, sys::FleetPath::kRouted, nullptr, &routed);
-  bool fill = false, wait = false, replay = false;
-  for (const auto& e : routed.profile) {
-    fill = fill || e.code == kProfRouterFill;
-    wait = wait || e.code == kProfRingWait;
-    replay = replay || e.code == kProfWorkerReplay;
-    if (e.code == kProfRouterFill) {
-      EXPECT_EQ(e.track, kDispatcherTrack);
+  // Cache-less and cached runs take the same pipeline, so both sample all
+  // three of its stages.
+  for (const auto& cache :
+       {sys::CacheSpec::none(), sys::CacheSpec::lru(util::mb(200.0))}) {
+    SCOPED_TRACE("cache " + cache.spec());
+    cfg.cache = cache;
+    RunTrace trace;
+    (void)sys::run_fleet(cfg, 4, nullptr, &trace);
+    EXPECT_EQ(trace.shards, 4u);
+    for (const auto& e : trace.events) {
+      EXPECT_NE(e.kind, Kind::kProfile);
     }
+    bool fill = false, wait = false, replay = false;
+    for (const auto& e : trace.profile) {
+      EXPECT_EQ(e.kind, Kind::kProfile);
+      EXPECT_GE(e.value, 0.0);
+      fill = fill || e.code == kProfRouterFill;
+      wait = wait || e.code == kProfRingWait;
+      replay = replay || e.code == kProfWorkerReplay;
+      if (e.code == kProfRouterFill) {
+        EXPECT_EQ(e.track, kDispatcherTrack);
+      }
+    }
+    EXPECT_TRUE(fill && wait && replay)
+        << "all three pipeline stages must be sampled";
   }
-  EXPECT_TRUE(fill && wait && replay)
-      << "all three pipeline stages must be sampled";
-  EXPECT_EQ(routed.shards, 4u);
 }
 
 /// Byte length and 64-bit FNV-1a hash of the canonical sim-time stream
@@ -213,7 +203,9 @@ RunTrace traced_scenario(const std::string& text, double metrics_interval_s) {
 
 // Captured from the disk that scheduled a calendar event for every
 // positioning-to-transfer edge and cancelled its idle timer on every
-// arrival; the one-event-per-job disk must emit the identical stream.
+// arrival; the one-event-per-job disk must emit the identical stream.  The
+// cache-less scenario was also captured on the since-deleted routerless
+// shard-local pipeline; the router must reproduce it exactly.
 TEST(TracePin, ShardLocalSstfFixedTimeoutStreamIsPinned) {
   const auto trace = traced_scenario(
       "catalog=synth(2000,0.2,1m,independent,3) placement=random disks=32 "

@@ -149,9 +149,8 @@ TEST(OrchFleet, ForegroundStatsExcludeBackgroundDestages) {
 TEST(OrchFleet, ReplicasWithoutOrchestrationAreInert) {
   // Replica copies are laid out after the primary extents, so a run that
   // carries replicas=2 but no orchestration is byte-for-byte the
-  // replicas=1 run: nothing reads the copies, nothing moved the originals.
-  // Routing ignores the copies too, so the run keeps the routerless path;
-  // the router, forced, agrees.
+  // replicas=1 run: nothing reads the copies, nothing moved the originals,
+  // at one shard and at several.
   const auto cat = fleet_catalog();
   auto plain = orch_config(cat);
   plain.orch = OrchSpec::off();
@@ -161,10 +160,8 @@ TEST(OrchFleet, ReplicasWithoutOrchestrationAreInert) {
 
   auto replicated = plain;
   replicated.replicas = 2;
-  EXPECT_EQ(classify_fleet_path(replicated), FleetPath::kShardLocal);
   expect_same_physical(baseline, run_experiment(replicated));
-  expect_same_physical(baseline,
-                       run_fleet(replicated, 1, FleetPath::kRouted));
+  expect_same_physical(baseline, run_fleet(replicated, 3));
 }
 
 TEST(OrchFleet, ScenarioStringDrivesTheWholeStack) {
@@ -182,7 +179,6 @@ TEST(OrchFleet, ScenarioStringDrivesTheWholeStack) {
   EXPECT_DOUBLE_EQ(cfg.orch.destage_deadline_s, 120.0);
   EXPECT_DOUBLE_EQ(cfg.orch.slo_p99_s, 0.5);
   EXPECT_EQ(cfg.replicas, 2u);
-  EXPECT_EQ(classify_fleet_path(cfg), FleetPath::kRouted);
 
   // The log tier appends to whatever the placement allocated.
   const auto base = resolve_scenario(spec.with("orch", "redirect"));

@@ -133,7 +133,7 @@ TEST(FleetMerge, TwoShardSplitEqualsSingleCalendar) {
   auto cfg = fleet_config(cat);
   cfg.cache = CacheSpec::lru(util::mb(150.0));
   const auto baseline = run_experiment(cfg); // shards == 1
-  const auto partials = run_fleet_partials(cfg, 2, classify_fleet_path(cfg));
+  const auto partials = run_fleet_partials(cfg, 2);
   ASSERT_EQ(partials.size(), 3u); // router + 2 disk groups
   RunResult merged;
   for (const auto& p : partials) merged.merge(p);
@@ -145,7 +145,7 @@ TEST(FleetMerge, FoldIsAssociativeAndOrderIndependent) {
   // any fold order over the partials must produce the same bits.
   const auto cat = fleet_catalog();
   const auto cfg = fleet_config(cat);
-  const auto partials = run_fleet_partials(cfg, 3, classify_fleet_path(cfg));
+  const auto partials = run_fleet_partials(cfg, 3);
   ASSERT_EQ(partials.size(), 4u);
 
   RunResult forward;
@@ -274,119 +274,28 @@ TEST(EffectiveShards, AutoAppliesTheDisksPerShardFloor) {
   EXPECT_EQ(effective_shards(8, 16), 8u); // explicit: floor not applied
 }
 
-TEST(FleetPath, ClassifiesEveryPlacementByCacheOnly) {
-  // Every built-in placement resolves to a static file->disk map, so the
-  // fast-path/router split is decided by the cache alone: cache=none is
-  // shard-decomposable (routerless), any real cache needs the router.
-  const std::vector<std::string> placements{
-      "pack", "grouped:4", "random", "maid:2", "sea:0.8", "seg:2", "ffd"};
-  const std::vector<std::string> caches{"none", "lru:200m", "fifo:200m",
-                                        "lfu:200m"};
-  for (const auto& placement : placements) {
-    for (const auto& cache : caches) {
-      SCOPED_TRACE("placement " + placement + " cache " + cache);
-      const auto spec =
-          ScenarioSpec::parse("catalog=table1(400,5) load=0.9 disks=16 "
-                              "workload=poisson(1,200)")
-              .with("placement", placement)
-              .with("cache", cache);
-      const auto resolved = resolve_scenario(spec);
-      const auto expected = cache == "none" ? FleetPath::kShardLocal
-                                            : FleetPath::kRouted;
-      EXPECT_EQ(classify_fleet_path(resolved.config), expected);
-    }
-  }
-}
-
-TEST(FleetPath, DynamicRoutingForcesTheRouter) {
-  // Only orchestration routes a request anywhere but mapping[file] (read
-  // redirection picks a replica at arrival time), so it — not the replica
-  // count — forces the router even with cache=none, and forcing the fast
-  // path on it must throw.
-  const auto cat = fleet_catalog();
-  auto cfg = fleet_config(cat);
-  cfg.replicas = 2;
-  ASSERT_EQ(classify_fleet_path(cfg), FleetPath::kShardLocal);
-  cfg.orch = OrchSpec::parse("redirect");
-  EXPECT_EQ(classify_fleet_path(cfg), FleetPath::kRouted);
-  EXPECT_THROW(run_fleet(cfg, 2, FleetPath::kShardLocal),
-               std::invalid_argument);
-}
-
-TEST(FleetPath, ForcingTheFastPathOnACachefulConfigThrows) {
-  const auto cat = fleet_catalog();
-  auto cfg = fleet_config(cat);
-  cfg.cache = CacheSpec::lru(util::mb(200.0));
-  ASSERT_EQ(classify_fleet_path(cfg), FleetPath::kRouted);
-  EXPECT_THROW(run_fleet(cfg, 2, FleetPath::kShardLocal),
-               std::invalid_argument);
-}
-
-TEST(FleetInvariance, BothPathsAreBitIdenticalOnTheSameScenario) {
-  // The tentpole contract: force the router on a shard-decomposable
-  // scenario (which would normally take the routerless fast path) and
-  // require bit-identical RunResults from both pipelines — and from the
-  // one-shard run.  Crossed with an adaptive policy and a bursty
-  // workload so per-disk RNG consumption differs between disks.
-  const auto cat = fleet_catalog();
-  const std::vector<WorkloadSpec> workloads{
-      WorkloadSpec::poisson(0.8, 200.0),
-      WorkloadSpec::mmpp({{2.0, 0.1}, {30.0, 60.0}}, 200.0)};
-  for (const auto& w : workloads) {
-    auto cfg = fleet_config(cat);
-    cfg.policy = PolicySpec::ewma();
-    cfg.workload = w;
-    ASSERT_EQ(classify_fleet_path(cfg), FleetPath::kShardLocal);
-    const auto baseline = run_experiment(cfg); // shards == 1
-    for (const std::uint32_t shards : {2u, 4u, 8u}) {
-      SCOPED_TRACE("workload " + w.spec() + " shards " +
-                   std::to_string(shards));
-      const auto local = run_fleet(cfg, shards, FleetPath::kShardLocal);
-      const auto routed = run_fleet(cfg, shards, FleetPath::kRouted);
-      expect_same_physical(baseline, local);
-      expect_same_physical(baseline, routed);
-      EXPECT_EQ(local.events, routed.events); // same calendars either way
-    }
-  }
-}
-
 TEST(FleetPerf, CountersDescribeThePipeline) {
   const auto cat = fleet_catalog();
-  auto cfg = fleet_config(cat);
+  const auto cfg = fleet_config(cat);
 
-  FleetPerf local;
-  const auto fast = run_fleet(cfg, 3, FleetPath::kShardLocal, &local);
-  EXPECT_EQ(local.path, FleetPath::kShardLocal);
-  EXPECT_EQ(local.shards, 3u);
-  EXPECT_GE(local.workers, 1u);
-  EXPECT_LE(local.workers, 3u);
-  ASSERT_EQ(local.per_shard.size(), 3u);
+  FleetPerf perf;
+  const auto result = run_fleet(cfg, 3, &perf);
+  EXPECT_EQ(perf.shards, 3u);
+  EXPECT_EQ(perf.workers, 3u); // one worker thread per shard
+  ASSERT_EQ(perf.per_shard.size(), 3u);
   std::uint64_t submitted = 0;
   for (std::uint32_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(local.per_shard[s].shard, s);
-    EXPECT_EQ(local.per_shard[s].batches, 0u); // no router, no batches
-    EXPECT_GT(local.per_shard[s].events, 0u);
-    submitted += local.per_shard[s].submissions;
+    EXPECT_EQ(perf.per_shard[s].shard, s);
+    EXPECT_GT(perf.per_shard[s].batches, 0u);
+    EXPECT_GE(perf.per_shard[s].ring_high_water, 1u);
+    EXPECT_GT(perf.per_shard[s].events, 0u);
+    submitted += perf.per_shard[s].submissions;
   }
-  EXPECT_EQ(submitted, fast.requests); // cache=none: every request lands
-
-  FleetPerf routed;
-  const auto slow = run_fleet(cfg, 3, FleetPath::kRouted, &routed);
-  EXPECT_EQ(routed.path, FleetPath::kRouted);
-  EXPECT_EQ(routed.workers, 3u);
-  ASSERT_EQ(routed.per_shard.size(), 3u);
-  submitted = 0;
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    EXPECT_GT(routed.per_shard[s].batches, 0u);
-    EXPECT_GE(routed.per_shard[s].ring_high_water, 1u);
-    submitted += routed.per_shard[s].submissions;
-  }
-  EXPECT_EQ(submitted, slow.requests);
-  EXPECT_EQ(slow.requests, fast.requests);
-  ASSERT_EQ(routed.worker_busy_s.size(), 3u);
-  ASSERT_EQ(routed.worker_wait_s.size(), 3u);
-  EXPECT_GE(routed.router_busy_s, 0.0);
-  EXPECT_GE(routed.router_stall_s, 0.0);
+  EXPECT_EQ(submitted, result.requests); // cache=none: every request lands
+  ASSERT_EQ(perf.worker_busy_s.size(), 3u);
+  ASSERT_EQ(perf.worker_wait_s.size(), 3u);
+  EXPECT_GE(perf.router_busy_s, 0.0);
+  EXPECT_GE(perf.router_stall_s, 0.0);
 }
 
 TEST(RunFleet, RequiresPositiveHorizon) {

@@ -1,4 +1,6 @@
-// fleet_threads_test.cpp — a one-shard run starts no thread.
+// fleet_threads_test.cpp — the fleet pipeline's thread structure: the
+// router runs on the calling thread, so a one-shard run starts no thread
+// and a k-shard run starts exactly k, one worker per shard.
 //
 // The file interposes pthread_create with a counting wrapper that forwards
 // to libc's, the way tests/des/alloc_count_test.cpp counts operator new.
@@ -46,40 +48,65 @@ namespace spindown::sys {
 namespace {
 
 std::uint64_t threads_started_by(const ExperimentConfig& cfg,
-                                 std::uint32_t shards, FleetPath path) {
+                                 std::uint32_t shards) {
   const auto before = g_thread_starts.load();
-  run_fleet(cfg, shards, path);
+  run_fleet(cfg, shards);
   return g_thread_starts.load() - before;
 }
+
+/// A four-disk farm: eight equal files, two per disk.
+struct SmallFarm {
+  workload::FileCatalog cat;
+  ExperimentConfig cfg;
+
+  SmallFarm() : cat{files()} {
+    cfg.catalog = &cat;
+    cfg.mapping = {0, 1, 2, 3, 0, 1, 2, 3};
+    cfg.num_disks = 4;
+    cfg.workload = WorkloadSpec::poisson(0.5, 100.0);
+  }
+
+  static std::vector<workload::FileInfo> files() {
+    std::vector<workload::FileInfo> out(8);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i].id = static_cast<workload::FileId>(i);
+      out[i].size = util::mb(40.0);
+      out[i].popularity = 1.0 / static_cast<double>(out.size());
+    }
+    return out;
+  }
+};
 
 TEST(FleetThreads, OneShardRunStartsNoThread) {
 #ifdef SPINDOWN_SANITIZED_THREADS
   GTEST_SKIP() << "the sanitizer runtime owns pthread_create";
 #endif
-  std::vector<workload::FileInfo> files(8);
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    files[i].id = static_cast<workload::FileId>(i);
-    files[i].size = util::mb(40.0);
-    files[i].popularity = 1.0 / static_cast<double>(files.size());
-  }
-  const workload::FileCatalog cat{files};
-  ExperimentConfig cfg;
-  cfg.catalog = &cat;
-  cfg.mapping = {0, 1, 2, 3, 0, 1, 2, 3};
-  cfg.num_disks = 4;
-  cfg.workload = WorkloadSpec::poisson(0.5, 100.0);
+  SmallFarm farm;
+  auto& cfg = farm.cfg;
 
-  // The counter does see thread starts: two routed shards run a worker
-  // thread each.
-  ASSERT_GT(threads_started_by(cfg, 2, FleetPath::kRouted), 0u);
+  // The counter does see thread starts: two shards run a worker thread
+  // each.
+  ASSERT_GT(threads_started_by(cfg, 2), 0u);
 
-  EXPECT_EQ(threads_started_by(cfg, 1, FleetPath::kShardLocal), 0u);
-  EXPECT_EQ(threads_started_by(cfg, 1, FleetPath::kRouted), 0u);
+  EXPECT_EQ(threads_started_by(cfg, 1), 0u);
   cfg.cache = CacheSpec::lru(util::mb(100.0));
-  EXPECT_EQ(threads_started_by(cfg, 1, FleetPath::kRouted), 0u);
+  EXPECT_EQ(threads_started_by(cfg, 1), 0u);
   const auto before = g_thread_starts.load();
   run_experiment(cfg); // shards = 1
   EXPECT_EQ(g_thread_starts.load() - before, 0u);
+}
+
+TEST(FleetThreads, KShardRunStartsKWorkers) {
+#ifdef SPINDOWN_SANITIZED_THREADS
+  GTEST_SKIP() << "the sanitizer runtime owns pthread_create";
+#endif
+  SmallFarm farm;
+  auto& cfg = farm.cfg;
+
+  // The router is the calling thread: three shards, three workers.
+  EXPECT_EQ(threads_started_by(cfg, 3), 3u);
+  cfg.cache = CacheSpec::lru(util::mb(100.0));
+  EXPECT_EQ(threads_started_by(cfg, 3), 3u);
 }
 
 } // namespace

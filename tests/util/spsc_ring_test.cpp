@@ -97,12 +97,6 @@ TEST(SpscRing, AlternatingFillDrainAtFullBoundary) {
   }
 }
 
-TEST(SpscRing, BlockingPushReturnsFalseOnceClosed) {
-  SpscRing<int> ring{2};
-  ring.close();
-  EXPECT_FALSE(ring.push(7));
-}
-
 TEST(SpscRing, BlockingPopDrainsElementsPushedBeforeClose) {
   SpscRing<int> ring{4};
   int value = 5;
@@ -143,7 +137,7 @@ TEST(SpscRingStress, ProducerConsumerFifoUnderContention) {
     }
   }};
   for (std::uint64_t v = 0; v < kCount; ++v) {
-    ASSERT_TRUE(ring.push(v));
+    while (!ring.try_push(v)) std::this_thread::yield(); // full: wait
   }
   ring.close();
   consumer.join();
@@ -171,7 +165,7 @@ TEST(SpscRingStress, CloseMidStreamDeliversExactlyThePushedPrefix) {
   }};
   std::uint64_t pushed = 0;
   for (std::uint64_t v = 0; v < kCount; ++v) {
-    if (!ring.push(v)) break;
+    while (!ring.try_push(v)) std::this_thread::yield(); // full: wait
     ++pushed;
   }
   ring.close();
@@ -202,16 +196,15 @@ TEST(SpscRingStress, RecycleLoopNeverDuplicatesAnArena) {
               arena < arenas.data() + kArenas;
       *arena += 1; // consumer-side write: TSan sees it if ownership races
       // Recycle with try_push, exactly like the fleet worker: capacity ==
-      // arena count so it cannot be full, and unlike blocking push it
-      // still recycles after close() so the pre-close tail in `full`
-      // keeps draining.
+      // arena count so it cannot be full, and it still recycles after
+      // close() so the pre-close tail in `full` keeps draining.
       free_ring.try_push(arena);
     }
   }};
   for (std::uint64_t lap = 0; lap < kLaps; ++lap) {
     int* arena = nullptr;
     ASSERT_TRUE(free_ring.pop(arena));
-    ASSERT_TRUE(full.push(arena));
+    ASSERT_TRUE(full.try_push(arena)); // a popped arena: cannot be full
   }
   full.close();
   free_ring.close();

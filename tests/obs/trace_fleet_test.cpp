@@ -59,31 +59,43 @@ void expect_same_trace(const RunTrace& a, const RunTrace& b,
   EXPECT_DOUBLE_EQ(a.horizon_s, b.horizon_s);
 }
 
-TEST(TraceFleetIdentity, CachelessRunMatchesSingleCalendar) {
+TEST(TraceFleetIdentity, RouterlessPathMatchesSingleCalendar) {
+  // A cache-less scenario routes by mapping alone; the one pipeline must
+  // reproduce the one-shard trace at every shard count.
   const auto cat = fleet_catalog();
-  for (const std::uint32_t disks : {16u, 24u}) {
-    const auto cfg = fleet_config(cat, disks); // cache=none
+  auto cfg = fleet_config(cat, 24); // cache=none
 
-    RunTrace single;
-    const auto base = sys::run_experiment(cfg, &single);
-    ASSERT_FALSE(single.events.empty());
-    // No cache, no orchestration: the router routes by mapping alone and
-    // emits nothing onto the dispatcher track.
-    for (const auto& e : single.events) {
-      EXPECT_NE(e.track, kDispatcherTrack);
-    }
+  RunTrace single;
+  const auto base = sys::run_experiment(cfg, &single);
+  ASSERT_FALSE(single.events.empty());
 
-    for (const std::uint32_t shards : {2u, 4u, 8u}) {
-      RunTrace sharded;
-      const auto r = sys::run_fleet(cfg, shards, nullptr, &sharded);
-      expect_same_trace(single, sharded,
-                        "disks=" + std::to_string(disks) +
-                            ", shards=" + std::to_string(shards));
-      EXPECT_EQ(r.events, base.events);
-      EXPECT_EQ(r.requests, base.requests);
-      EXPECT_DOUBLE_EQ(r.power.energy, base.power.energy);
-    }
+  for (const std::uint32_t shards : {2u, 4u, 8u}) {
+    RunTrace sharded;
+    const auto r = sys::run_fleet(cfg, shards, nullptr, &sharded);
+    expect_same_trace(single, sharded,
+                      "cache-less, shards=" + std::to_string(shards));
+    EXPECT_EQ(r.events, base.events);
+    EXPECT_EQ(r.requests, base.requests);
+    EXPECT_DOUBLE_EQ(r.power.energy, base.power.energy);
   }
+}
+
+TEST(TraceFleetIdentity, ForcedRouterOnDecomposableConfigMatchesToo) {
+  // With no cache and no orchestration the router makes no decisions, so
+  // the dispatcher track stays empty and the 4-shard trace equals the
+  // one-shard trace.
+  const auto cat = fleet_catalog();
+  auto cfg = fleet_config(cat, 16);
+
+  RunTrace single;
+  (void)sys::run_experiment(cfg, &single);
+  ASSERT_FALSE(single.events.empty());
+  for (const auto& e : single.events) {
+    EXPECT_NE(e.track, kDispatcherTrack);
+  }
+  RunTrace routed;
+  (void)sys::run_fleet(cfg, 4, nullptr, &routed);
+  expect_same_trace(single, routed, "cache-less, shards=4");
 }
 
 TEST(TraceFleetIdentity, RoutedPathMatchesSingleCalendar) {

@@ -274,6 +274,33 @@ TEST(EffectiveShards, AutoAppliesTheDisksPerShardFloor) {
   EXPECT_EQ(effective_shards(8, 16), 8u); // explicit: floor not applied
 }
 
+TEST(FleetInvariance, BothPathsAreBitIdenticalOnTheSameScenario) {
+  // The two ways the one pipeline replays a cache-less scenario — inline on
+  // the calling thread at one shard, and through SPSC rings to k worker
+  // threads — must produce bit-identical RunResults, and both must equal
+  // run_experiment's.  Crossed with an adaptive policy and a bursty
+  // workload so per-disk RNG consumption differs between disks.
+  const auto cat = fleet_catalog();
+  const std::vector<WorkloadSpec> workloads{
+      WorkloadSpec::poisson(0.8, 200.0),
+      WorkloadSpec::mmpp({{2.0, 0.1}, {30.0, 60.0}}, 200.0)};
+  for (const auto& w : workloads) {
+    auto cfg = fleet_config(cat);
+    cfg.policy = PolicySpec::ewma();
+    cfg.workload = w;
+    const auto baseline = run_experiment(cfg); // shards == 1
+    const auto inline_run = run_fleet(cfg, 1);
+    expect_same_physical(baseline, inline_run);
+    for (const std::uint32_t shards : {2u, 4u, 8u}) {
+      SCOPED_TRACE("workload " + w.spec() + " shards " +
+                   std::to_string(shards));
+      const auto sharded = run_fleet(cfg, shards);
+      expect_same_physical(inline_run, sharded);
+      EXPECT_EQ(inline_run.events, sharded.events);
+    }
+  }
+}
+
 TEST(FleetPerf, CountersDescribeThePipeline) {
   const auto cat = fleet_catalog();
   const auto cfg = fleet_config(cat);

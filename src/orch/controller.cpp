@@ -26,7 +26,7 @@ FleetController::FleetController(
     }
     offload_ = std::make_unique<WriteOffload>(
         cfg_.data_disks, cfg_.log_disks, cfg_.disk_capacity,
-        cfg_.destage_deadline_s, cfg_.horizon_s);
+        cfg_.destage_deadline_s, cfg_.horizon_s, extents_.size());
   }
   if (cfg_.budget) {
     const double mu = 1.0 / model.service(static_cast<util::Bytes>(

@@ -1,19 +1,21 @@
 #include "orch/offload.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 namespace spindown::orch {
 
 WriteOffload::WriteOffload(std::uint32_t data_disks, std::uint32_t log_disks,
                            util::Bytes log_capacity, double deadline_s,
-                           double horizon_s)
+                           double horizon_s, std::size_t files)
     : placer_(log_disks, log_capacity, core::FitRule::kBestFit),
-      data_disks_(data_disks), log_disks_(log_disks),
-      deadline_s_(deadline_s), horizon_s_(horizon_s),
+      data_disks_(data_disks), deadline_s_(deadline_s),
+      horizon_s_(horizon_s),
       capacity_blocks_(std::max<std::uint64_t>(
           1, log_capacity / util::kBlockBytes)),
-      by_disk_(data_disks), log_cursor_(log_disks, 0) {
+      all_spinning_(log_disks, true), by_disk_(data_disks),
+      latest_(files, kNil), log_cursor_(log_disks, 0) {
   if (data_disks == 0 || log_disks == 0) {
     throw std::invalid_argument{
         "WriteOffload: need at least one data disk and one log disk"};
@@ -29,9 +31,11 @@ std::optional<WriteOffload::LogCopy> WriteOffload::absorb(
     std::uint32_t target) {
   // Every log disk is always-on, so the spinning-aware placer degenerates
   // to best-fit over free buffer space — exactly §1.1's write rule.
-  const std::vector<bool> spinning(log_disks_, true);
-  const auto local = placer_.place(bytes, spinning);
+  const auto local = placer_.place(bytes, all_spinning_);
   if (!local.has_value()) return std::nullopt;
+  if (buffered_ >= kNil) {
+    throw std::length_error{"WriteOffload: write numbers exhausted"};
+  }
 
   PendingWrite p;
   // The horizon cap keeps deadlines monotone (t is non-decreasing) *and*
@@ -47,39 +51,38 @@ std::optional<WriteOffload::LogCopy> WriteOffload::absorb(
   p.blocks = blocks;
   log_cursor_[*local] = (log_cursor_[*local] + blocks) % capacity_blocks_;
 
-  const std::size_t index = pending_.size();
+  const auto seq = static_cast<std::uint32_t>(buffered_);
   pending_.push_back(p);
   done_.push_back(false);
-  by_disk_[target].push_back(index);
-  latest_[file] = index; // newer write shadows an older pending copy
+  by_disk_[target].seqs.push_back(seq);
+  if (file >= latest_.size()) {
+    latest_.resize(std::max<std::size_t>(file + std::size_t{1},
+                                         2 * latest_.size()),
+                   kNil);
+  }
+  latest_[file] = seq; // newer write shadows an older pending copy
   ++buffered_;
   return LogCopy{p.log_disk, p.log_lba};
 }
 
 std::optional<WriteOffload::LogCopy> WriteOffload::log_copy(
     workload::FileId file) const {
-  const auto it = latest_.find(file);
-  if (it == latest_.end()) return std::nullopt;
-  const PendingWrite& p = pending_[it->second];
+  if (file >= latest_.size() || latest_[file] == kNil) return std::nullopt;
+  const PendingWrite& p = pending_[latest_[file] - base_];
   return LogCopy{p.log_disk, p.log_lba};
 }
 
 bool WriteOffload::has_pending(std::uint32_t target) const {
   if (target >= by_disk_.size()) return false;
-  // Deadline drains scrub per-disk indices lazily, so the list may hold
-  // settled entries: pending means at least one *live* one.
-  for (const std::size_t index : by_disk_[target]) {
-    if (!done_[index]) return true;
-  }
-  return false;
+  const DiskDebt& debt = by_disk_[target];
+  return debt.head < debt.seqs.size();
 }
 
-void WriteOffload::settle(std::size_t index, std::vector<PendingWrite>& out) {
-  const PendingWrite& p = pending_[index];
+void WriteOffload::settle(std::uint32_t seq, std::vector<PendingWrite>& out) {
+  const PendingWrite& p = pending_[seq - base_];
   placer_.release(p.log_disk - data_disks_, p.bytes);
-  const auto it = latest_.find(p.file);
-  if (it != latest_.end() && it->second == index) latest_.erase(it);
-  done_[index] = true;
+  if (latest_[p.file] == seq) latest_[p.file] = kNil;
+  done_[seq - base_] = true;
   ++destaged_;
   out.push_back(p);
 }
@@ -87,10 +90,12 @@ void WriteOffload::settle(std::size_t index, std::vector<PendingWrite>& out) {
 void WriteOffload::drain_disk(std::uint32_t target,
                               std::vector<PendingWrite>& out) {
   if (target >= by_disk_.size()) return;
-  for (const std::size_t index : by_disk_[target]) {
-    if (!done_[index]) settle(index, out);
+  DiskDebt& debt = by_disk_[target];
+  for (std::size_t i = debt.head; i < debt.seqs.size(); ++i) {
+    settle(debt.seqs[i], out);
   }
-  by_disk_[target].clear();
+  debt.seqs.clear();
+  debt.head = 0;
 }
 
 void WriteOffload::drain_due(double t, std::vector<PendingWrite>& out) {
@@ -103,10 +108,27 @@ void WriteOffload::drain_due(double t, std::vector<PendingWrite>& out) {
     }
     const PendingWrite& p = pending_[head_];
     if (p.deadline > t) break;
-    // Settle, then scrub the stale index from the per-disk list lazily:
-    // done_ entries are skipped by drain_disk.
-    settle(head_, out);
+    // The oldest live write fleet-wide is also the oldest live write owed
+    // to its disk, so it leaves the front of that disk's list.
+    DiskDebt& debt = by_disk_[p.target];
+    assert(debt.seqs[debt.head] == base_ + head_);
+    if (2 * ++debt.head > debt.seqs.size()) {
+      debt.seqs.erase(debt.seqs.begin(),
+                      debt.seqs.begin() +
+                          static_cast<std::ptrdiff_t>(debt.head));
+      debt.head = 0;
+    }
+    settle(static_cast<std::uint32_t>(base_ + head_), out);
     ++head_;
+  }
+  // Drop the settled prefix once it is the larger half: memory follows the
+  // live writes, not every write ever buffered.
+  if (2 * head_ > pending_.size()) {
+    const auto drop = static_cast<std::ptrdiff_t>(head_);
+    pending_.erase(pending_.begin(), pending_.begin() + drop);
+    done_.erase(done_.begin(), done_.begin() + drop);
+    base_ += static_cast<std::uint32_t>(head_);
+    head_ = 0;
   }
 }
 

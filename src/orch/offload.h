@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/write_policy.h"
@@ -53,9 +52,12 @@ class WriteOffload {
 public:
   /// Log disks occupy global ids [data_disks, data_disks + log_disks);
   /// each has `log_capacity` bytes of buffer space.  `horizon_s` caps every
-  /// deadline so the tier drains inside the measurement window.
+  /// deadline so the tier drains inside the measurement window.  `files`
+  /// (the catalog size) sizes the file-id index up front; ids past it grow
+  /// the index on demand.
   WriteOffload(std::uint32_t data_disks, std::uint32_t log_disks,
-               util::Bytes log_capacity, double deadline_s, double horizon_s);
+               util::Bytes log_capacity, double deadline_s, double horizon_s,
+               std::size_t files = 0);
 
   struct LogCopy {
     std::uint32_t log_disk = 0; ///< global disk id
@@ -74,6 +76,7 @@ public:
   /// Freshest buffered copy of `file`, if one is still pending.
   std::optional<LogCopy> log_copy(workload::FileId file) const;
 
+  /// True while data disk `target` owes at least one live write; O(1).
   bool has_pending(std::uint32_t target) const;
 
   /// Move every live pending write owed to `target` into `out` (in
@@ -90,20 +93,33 @@ public:
   std::uint64_t live() const { return buffered_ - destaged_; }
 
 private:
-  void settle(std::size_t index, std::vector<PendingWrite>& out);
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+
+  /// Per data disk: its buffered writes, oldest first.  Deadline drains
+  /// settle a prefix of each list, so [head, seqs.size()) is exactly the
+  /// disk's live debt.
+  struct DiskDebt {
+    std::vector<std::uint32_t> seqs;
+    std::size_t head = 0;
+  };
+
+  void settle(std::uint32_t seq, std::vector<PendingWrite>& out);
 
   core::WritePlacer placer_; ///< indexed by log disk *local* id
   std::uint32_t data_disks_;
-  std::uint32_t log_disks_;
   double deadline_s_;
   double horizon_s_;
   std::uint64_t capacity_blocks_;
+  std::vector<bool> all_spinning_; ///< every log disk is always-on
 
-  std::vector<PendingWrite> pending_; ///< append-only; head_ = oldest live
+  std::vector<PendingWrite> pending_; ///< head_ = oldest unscanned
   std::vector<bool> done_;            ///< parallel to pending_
   std::size_t head_ = 0;
-  std::vector<std::vector<std::size_t>> by_disk_;   ///< live, per data disk
-  std::unordered_map<workload::FileId, std::size_t> latest_; ///< file -> idx
+  /// Writes are numbered in buffering order and pending_[i] holds number
+  /// base_ + i, so dropping the settled prefix rewrites no stored number.
+  std::uint32_t base_ = 0;
+  std::vector<DiskDebt> by_disk_;
+  std::vector<std::uint32_t> latest_; ///< file -> newest live number, kNil
   std::vector<std::uint64_t> log_cursor_; ///< per log disk, blocks
   std::uint64_t buffered_ = 0;
   std::uint64_t destaged_ = 0;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "cache/fifo.h"
 #include "cache/lfu.h"
 #include "cache/lru.h"
 #include "obs/trace.h"
@@ -200,11 +199,12 @@ OrchSpec OrchSpec::parse(const std::string& name) {
   return o;
 }
 
-std::unique_ptr<cache::FileCache> CacheSpec::make() const {
+std::unique_ptr<cache::FileCache> CacheSpec::make(std::size_t files) const {
   switch (kind) {
     case Kind::kNone: return nullptr;
-    case Kind::kLru: return std::make_unique<cache::LruCache>(capacity);
-    case Kind::kFifo: return std::make_unique<cache::FifoCache>(capacity);
+    case Kind::kLru: return std::make_unique<cache::LruCache>(capacity, files);
+    case Kind::kFifo:
+      return std::make_unique<cache::FifoCache>(capacity, files);
     case Kind::kLfu: return std::make_unique<cache::LfuCache>(capacity);
   }
   throw std::logic_error{"CacheSpec: unknown kind"};

@@ -149,8 +149,9 @@ struct CacheSpec {
   /// such that parse(spec()) round-trips the value.
   std::string spec() const;
 
-  /// nullptr for kNone.
-  std::unique_ptr<cache::FileCache> make() const;
+  /// nullptr for kNone.  `files` (the catalog size) sizes the LRU/FIFO
+  /// file-id index up front; 0 lets it grow on demand.
+  std::unique_ptr<cache::FileCache> make(std::size_t files = 0) const;
 };
 
 /// Observability selection (src/obs/): which trace-event families a run

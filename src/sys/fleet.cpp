@@ -502,7 +502,7 @@ std::vector<RunResult> run_pipeline(const ExperimentConfig& config,
     states.push_back(std::move(state));
   }
 
-  const auto cache = config.cache.make();
+  const auto cache = config.cache.make(config.catalog->size());
   const auto stream =
       config.workload.make_stream(*config.catalog, config.seed);
 

@@ -1,4 +1,4 @@
-#include "cache/fifo.h"
+#include "cache/lru.h"
 
 #include <gtest/gtest.h>
 

@@ -14,14 +14,21 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
+#include "cache/lru.h"
 #include "des/simulation.h"
 #include "disk/disk.h"
 #include "disk/io_scheduler.h"
 #include "disk/spin_policy.h"
 #include "obs/trace.h"
+#include "orch/offload.h"
+#include "sys/scenario.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace {
@@ -229,6 +236,102 @@ TEST(AllocCount, DiskCycleTracingIntoReservedBufferIsAllocationFree) {
   const std::uint64_t after = allocation_count();
   EXPECT_EQ(after - chain.before, 0u);
   EXPECT_GT(trace.size(), 5u * 20'000u); // the events really were recorded
+}
+
+// The router's front cache: once the node pool has grown to the largest
+// resident set, a miss-heavy stream (evict, recycle a node, link it) and
+// the hits in between neither hash nor allocate.
+void run_cache_cycle_test(spindown::cache::FileCache& cache) {
+  spindown::util::Rng rng{5};
+  const auto access = [&] {
+    const auto id = static_cast<spindown::workload::FileId>(
+        rng.uniform_int(0, 49'999));
+    cache.access(id, rng.uniform_int(1, 1000));
+  };
+  for (int i = 0; i < 100'000; ++i) access(); // warm-up
+  const auto before_stats = cache.stats();
+  const std::uint64_t before = allocation_count();
+  for (int i = 0; i < 100'000; ++i) access();
+  const std::uint64_t after = allocation_count();
+  EXPECT_EQ(after - before, 0u);
+  // Miss-heavy: ~200 resident of 50k ids.
+  EXPECT_GT(cache.stats().misses - before_stats.misses, 90'000u);
+}
+
+TEST(AllocCount, LruCacheMissHeavyStreamIsAllocationFree) {
+  spindown::cache::LruCache cache{100'000, /*files=*/50'000};
+  run_cache_cycle_test(cache);
+}
+
+TEST(AllocCount, FifoCacheMissHeavyStreamIsAllocationFree) {
+  spindown::cache::FifoCache cache{100'000, /*files=*/50'000};
+  run_cache_cycle_test(cache);
+}
+
+// Write off-load's absorb -> log_copy -> drain_due cycle with a handful of
+// live writes: the settled prefix is dropped in place, so the pending queue
+// and the per-disk debt lists stop growing and the loop stops allocating.
+TEST(AllocCount, OffloadAbsorbDrainCycleIsAllocationFree) {
+  using spindown::orch::PendingWrite;
+  using spindown::orch::WriteOffload;
+  constexpr std::uint32_t kDataDisks = 16;
+  WriteOffload off{kDataDisks, /*log_disks=*/4, spindown::util::gb(1.0),
+                   /*deadline_s=*/8.0, /*horizon_s=*/1e9,
+                   /*files=*/1000};
+  std::vector<PendingWrite> out;
+  out.reserve(64);
+  std::uint64_t copies = 0;
+  const auto cycle = [&](std::uint64_t i) {
+    const double t = static_cast<double>(i);
+    const auto file = static_cast<spindown::workload::FileId>(i % 1000);
+    (void)off.absorb(t, i, file, spindown::util::mb(1.0), 2, i,
+                     static_cast<std::uint32_t>((i * 7) % kDataDisks));
+    copies += off.log_copy(file).has_value() ? 1 : 0;
+    out.clear();
+    off.drain_due(t, out);
+    EXPECT_LE(off.live(), 8u);
+  };
+  std::uint64_t i = 0;
+  for (; i < 1000; ++i) cycle(i); // warm-up
+  const std::uint64_t before = allocation_count();
+  for (; i < 101'000; ++i) cycle(i);
+  const std::uint64_t after = allocation_count();
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(copies, i);
+  EXPECT_EQ(off.buffered(), i);
+}
+
+// End to end: a cached, replicated, orchestrated run on the inline
+// (one-shard) pipeline.  Setup — catalog, placement, index sizing, pool
+// growth — costs the same at both horizons, so the difference between a
+// run of 2H and a run of H is the steady-state cost of H worth of routed
+// requests.
+TEST(AllocCount, OrchestratedCachedRunAllocatesAlmostNothingPerRequest) {
+  const auto run = [](int horizon_s) {
+    const auto spec = spindown::sys::ScenarioSpec::parse(
+        "catalog=table1(4000,5) placement=pack load=0.3 policy=ewma "
+        "cache=lru:16g replicas=2 "
+        "orch=redirect+offload:4+writes:0.1+budget:p99:30 "
+        "workload=poisson(4," + std::to_string(horizon_s) + ") "
+        "shards=1 seed=1");
+    const std::uint64_t before = allocation_count();
+    const auto result = spindown::sys::run_scenario(spec);
+    const std::uint64_t allocs = allocation_count() - before;
+    // The run really misses the cache and destages off-loaded writes.
+    std::uint64_t destaged = 0;
+    for (const auto& m : result.per_disk) destaged += m.destage_served;
+    EXPECT_GT(result.cache.misses, result.requests / 2);
+    EXPECT_GT(destaged, 100u);
+    return std::pair{allocs, result.requests};
+  };
+  const auto [allocs_h, requests_h] = run(4000);
+  const auto [allocs_2h, requests_2h] = run(8000);
+  ASSERT_GT(requests_2h, requests_h + 10'000);
+  const double per_request =
+      static_cast<double>(allocs_2h - allocs_h) /
+      static_cast<double>(requests_2h - requests_h);
+  std::printf("steady-state allocations per request: %.4f\n", per_request);
+  EXPECT_LE(per_request, 0.05);
 }
 
 TEST(AllocCount, OversizedCaptureDoesAllocate) {

@@ -125,5 +125,83 @@ TEST(OrchOffload, FullTierRejectsUntilSpaceIsReleased) {
   EXPECT_TRUE(off.absorb(3.0, 3, 1, util::mb(6.0), 12, 0, 1).has_value());
 }
 
+TEST(OrchOffload, DeadlineDrainedDiskHasNoPendingDebt) {
+  // A disk that never serves a foreground request is only ever drained by
+  // deadlines; its settled writes must not count as pending debt.
+  auto off = make_offload();
+  std::vector<PendingWrite> out;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    const double t = static_cast<double>(i);
+    ASSERT_TRUE(off.absorb(t, i, static_cast<workload::FileId>(i % 7),
+                           util::mb(1.0), 2, 0, /*target=*/2)
+                    .has_value());
+    off.drain_due(t, out);
+  }
+  off.drain_due(kHorizon, out);
+  ASSERT_EQ(out.size(), 1000u);
+  EXPECT_FALSE(off.has_pending(2));
+  EXPECT_EQ(off.live(), 0u);
+  std::vector<PendingWrite> none;
+  off.drain_disk(2, none);
+  EXPECT_TRUE(none.empty());
+}
+
+TEST(OrchOffload, DroppingTheSettledPrefixKeepsOrderAndCopies) {
+  // Interleave deadline drains (which drop the settled prefix), triggered
+  // drains and shadowing writes across many compactions: every write
+  // destages exactly once, deadline drains stay in buffering order, and
+  // the log copy a read sees is always the newest live one.
+  auto off = make_offload();
+  std::vector<PendingWrite> due, triggered;
+  std::vector<std::uint64_t> newest(8, 0); // file -> request id + 1
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    const double t = static_cast<double>(i) * 7.0;
+    const auto file = static_cast<workload::FileId>(i % 8);
+    const auto target = static_cast<std::uint32_t>(i % kDataDisks);
+    const auto copy = off.absorb(t, i, file, util::kBlockBytes, 1, i, target);
+    ASSERT_TRUE(copy.has_value());
+    newest[file] = i + 1;
+    const std::size_t before = due.size();
+    off.drain_due(t, due);
+    for (std::size_t k = before; k < due.size(); ++k) {
+      EXPECT_LE(due[k].deadline, t);
+      if (k > 0) {
+        EXPECT_LT(due[k - 1].request_id, due[k].request_id);
+      }
+    }
+    if (i % 13 == 0) off.drain_disk((target + 1) % kDataDisks, triggered);
+    for (auto* batch : {&due, &triggered}) {
+      for (const PendingWrite& p : *batch) {
+        if (newest[p.file] == p.request_id + 1) newest[p.file] = 0;
+      }
+    }
+    EXPECT_EQ(off.log_copy(file).has_value(), newest[file] != 0);
+  }
+  off.drain_due(kHorizon * 1e3, due);
+  std::vector<bool> seen(5000, false);
+  for (const auto* batch : {&due, &triggered}) {
+    for (const PendingWrite& p : *batch) {
+      ASSERT_FALSE(seen[p.request_id]) << p.request_id;
+      seen[p.request_id] = true;
+      EXPECT_EQ(p.target_lba, p.request_id); // payload survives the move
+    }
+  }
+  EXPECT_EQ(due.size() + triggered.size(), 5000u);
+  EXPECT_EQ(off.live(), 0u);
+  for (std::uint32_t d = 0; d < kDataDisks; ++d) {
+    EXPECT_FALSE(off.has_pending(d));
+  }
+}
+
+TEST(OrchOffload, FileIndexGrowsPastItsInitialSize) {
+  auto off = WriteOffload{kDataDisks, kLogDisks, util::gb(1.0), kDeadline,
+                          kHorizon, /*files=*/4};
+  ASSERT_TRUE(off.absorb(1.0, 1, 1'000'000, util::mb(1.0), 2, 0, 0)
+                  .has_value());
+  EXPECT_TRUE(off.log_copy(1'000'000).has_value());
+  EXPECT_FALSE(off.log_copy(999'999).has_value());
+  EXPECT_FALSE(off.log_copy(3).has_value());
+}
+
 } // namespace
 } // namespace spindown::orch

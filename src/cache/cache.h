@@ -10,6 +10,7 @@
 // miss (demand caching), evicting per policy until the file fits.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -41,6 +42,11 @@ public:
 
   /// Presence check without side effects.
   virtual bool contains(workload::FileId id) const = 0;
+
+  /// Pre-size storage for `entries` resident files, so that filling the
+  /// cache allocates nothing (the fleet sizes its cache before handing it
+  /// to the producer thread).  A hint only; the default ignores it.
+  virtual void reserve(std::size_t entries) { (void)entries; }
 
   virtual util::Bytes capacity() const = 0;
   virtual util::Bytes used() const = 0;

@@ -19,6 +19,7 @@ class ListCache : public FileCache {
 public:
   bool access(workload::FileId id, util::Bytes size) override;
   bool contains(workload::FileId id) const override;
+  void reserve(std::size_t entries) override { nodes_.reserve(entries); }
 
   util::Bytes capacity() const override { return capacity_; }
   util::Bytes used() const override { return used_; }

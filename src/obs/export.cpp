@@ -89,8 +89,9 @@ void emit_metadata(Emitter& out, const RunTrace& trace) {
     for (const TraceEvent& e : trace.profile) lanes[e.track] = true;
     for (const auto& [lane, unused] : lanes) {
       (void)unused;
-      const std::string name =
-          lane == kDispatcherTrack ? "router" : "shard " + fmt_u64(lane);
+      std::string name = "shard " + fmt_u64(lane);
+      if (lane == kDispatcherTrack) name = "router";
+      if (lane == kProducerTrack) name = "producer";
       out.item(R"({"ph":"M","pid":1,"tid":)" + fmt_u64(lane) +
                R"(,"name":"thread_name","args":{"name":")" + name + R"("}})");
     }

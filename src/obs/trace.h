@@ -83,10 +83,16 @@ inline constexpr std::uint8_t kMetricPowerState = 1; ///< value=state index,
 inline constexpr std::uint8_t kProfRouterFill = 0;   ///< router fills a window
 inline constexpr std::uint8_t kProfRingWait = 1;     ///< worker waits on ring
 inline constexpr std::uint8_t kProfWorkerReplay = 2; ///< worker replays batch
+inline constexpr std::uint8_t kProfProducerFill = 3; ///< producer generates and
+                                                     ///< cache-filters a window
 
 /// Track id for events not owned by a disk (dispatcher / router decisions).
 /// Ranked before disk 0 in the canonical order, mirroring partials[0].
 inline constexpr std::uint32_t kDispatcherTrack = 0xffffffffu;
+
+/// Profile lane of the fleet's arrival producer (kind == kProfile only; it
+/// owns no sim-time events).
+inline constexpr std::uint32_t kProducerTrack = 0xfffffffeu;
 
 /// One trace record.  40 bytes, trivially copyable; the exact-field equality
 /// is what the shard bit-identity tests compare.

@@ -36,6 +36,11 @@ using obs::seconds_since;
 /// backpressure point in the pipeline.
 constexpr std::size_t kBatchesPerShard = 16;
 
+/// Window arenas between a threaded producer and the router: enough for the
+/// producer to run a few windows ahead of a router busy on a dense window,
+/// few enough that generated-but-unrouted arrivals stay a small buffer.
+constexpr std::size_t kWindowArenas = 4;
+
 /// Advance `frontier` one window and fill `block` with every arrival below
 /// it.  Across an idle stretch the frontier jumps to the window after the
 /// next arrival instead of stepping through empty windows one by one.
@@ -49,6 +54,15 @@ double fill_window(workload::WindowedStream& windowed, double frontier,
   windowed.fill(frontier, std::numeric_limits<std::size_t>::max(), block);
   return frontier;
 }
+
+/// One generated window: every arrival below `frontier` and, when the run
+/// has a front cache, one flag per arrival (1 = served by the cache).
+/// Recycled through the producer's free ring like ShardBatch.
+struct WindowArena {
+  workload::RequestBlock block;
+  std::vector<std::uint8_t> hit;
+  double frontier = 0.0;
+};
 
 /// Profile samples are wall-clock (never part of the determinism
 /// contract); order them by lane then start offset for readability.
@@ -370,6 +384,144 @@ private:
   }
 };
 
+/// The pipeline's first stage: generates the arrival stream window by
+/// window and runs every front-cache access, in global arrival order.
+/// Neither depends on a routing decision, so a threaded producer runs ahead
+/// of the router on its own thread, handing filled windows over the full
+/// ring and getting routed ones back over the free ring; otherwise next()
+/// produces each window on the router's thread into one recycled arena.
+/// The cache belongs to this stage alone.
+class ArrivalProducer {
+public:
+  /// A threaded producer is sized on the calling thread — its window
+  /// arenas for `reserve` arrivals each, the cache for as many files as it
+  /// can hold — so its own thread allocates nothing in the steady state.
+  /// That keeps its resident-memory cost to the window arenas: with glibc,
+  /// a thread takes a malloc arena of its own on its first allocation.
+  ArrivalProducer(workload::RequestStream& stream,
+                  const workload::FileCatalog& catalog,
+                  cache::FileCache* cache, double window, bool threaded,
+                  std::size_t reserve, const FleetSetup& setup)
+      : windowed_(stream), catalog_(catalog), cache_(cache), window_(window),
+        threaded_(threaded), setup_(setup) {
+    const std::size_t count = threaded ? kWindowArenas : 1;
+    if (threaded && cache != nullptr) {
+      const util::Bytes smallest = std::max<util::Bytes>(1, catalog.min_size());
+      cache->reserve(static_cast<std::size_t>(
+          std::min<util::Bytes>(catalog.size(), cache->capacity() / smallest)));
+    }
+    arenas_.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      arenas_.push_back(std::make_unique<WindowArena>());
+      WindowArena* arena = arenas_.back().get();
+      if (threaded) {
+        arena->block.arrival.reserve(reserve);
+        arena->block.id.reserve(reserve);
+        arena->block.file.reserve(reserve);
+        arena->block.lba.reserve(reserve);
+        if (cache != nullptr) arena->hit.reserve(reserve);
+        free_ring_.try_push(arena); // capacity >= arena count: cannot fail
+      }
+    }
+  }
+
+  /// Thread body of a threaded producer: fill windows until the stream is
+  /// exhausted, then close the full ring (the router's end of stream).
+  void run() {
+    try {
+      const auto t0 = PerfClock::now();
+      for (;;) {
+        WindowArena* arena = nullptr;
+        if (!free_ring_.try_pop(arena)) {
+          const auto w0 = PerfClock::now();
+          if (!free_ring_.pop(arena)) break; // closed: router-side abort
+          wait_s += seconds_since(w0);
+        }
+        if (!produce(*arena)) break;
+        full_.try_push(arena); // holds a popped arena: cannot be full
+      }
+      busy_s = seconds_since(t0) - wait_s;
+    } catch (...) {
+      error = std::current_exception();
+    }
+    full_.close();
+  }
+
+  /// Router side: the next window in arrival order, or null once the stream
+  /// is exhausted.  Time blocked on a threaded producer is charged to
+  /// `stall_s`.
+  WindowArena* next(double& stall_s) {
+    if (!threaded_) return produce(*arenas_[0]) ? arenas_[0].get() : nullptr;
+    WindowArena* arena = nullptr;
+    if (full_.try_pop(arena)) return arena;
+    const auto s0 = PerfClock::now();
+    const bool got = full_.pop(arena);
+    stall_s += seconds_since(s0);
+    if (got) return arena;
+    // The producer wrote `error` before closing the ring, and pop()'s
+    // acquire of the close makes that write visible here.
+    if (error) throw PipelineAborted{};
+    return nullptr;
+  }
+
+  /// Router side: hand a routed window's arena back for refilling.
+  void recycle(WindowArena* arena) {
+    if (threaded_) free_ring_.try_push(arena); // cannot be full
+  }
+
+  /// Abort/shutdown: unblocks a producer parked on the free ring.
+  void close() {
+    full_.close();
+    free_ring_.close();
+  }
+
+  // Outputs of a threaded producer, read after join.
+  std::exception_ptr error;
+  double busy_s = 0.0;
+  double wait_s = 0.0;
+  std::vector<obs::TraceEvent> prof; ///< kProfProducerFill per window
+
+private:
+  /// Generate the next window into `arena` and flag its cache hits; false
+  /// once the stream is exhausted.
+  bool produce(WindowArena& arena) {
+    if (windowed_.exhausted()) return false;
+    const bool profiling = setup_.profiling;
+    const double f0 = profiling ? seconds_since(setup_.prof_t0) : 0.0;
+    frontier_ = fill_window(windowed_, frontier_, window_, arena.block);
+    arena.frontier = frontier_;
+    if (cache_ != nullptr) {
+      const std::size_t n = arena.block.size();
+      const workload::FileId* file_id = arena.block.file.data();
+      arena.hit.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto& file = catalog_.by_id(file_id[i]);
+        arena.hit[i] = cache_->access(file.id, file.size) ? 1 : 0;
+      }
+    }
+    if (profiling) {
+      prof.push_back(obs::TraceEvent{f0, windows_,
+                                     seconds_since(setup_.prof_t0) - f0, 0.0,
+                                     obs::kProducerTrack, obs::Kind::kProfile,
+                                     obs::kProfProducerFill});
+    }
+    ++windows_;
+    return true;
+  }
+
+  workload::WindowedStream windowed_;
+  const workload::FileCatalog& catalog_;
+  cache::FileCache* cache_;
+  double window_;
+  double frontier_ = 0.0;
+  std::uint64_t windows_ = 0;
+  bool threaded_;
+  const FleetSetup& setup_;
+  std::vector<std::unique_ptr<WindowArena>> arenas_;
+  util::SpscRing<WindowArena*> full_{kWindowArenas};
+  util::SpscRing<WindowArena*> free_ring_{kWindowArenas};
+};
+
 /// The controller's guess at how long a disk idles before its spin-down
 /// policy puts it to sleep: exact for fixed-threshold and never policies,
 /// the break-even threshold (the adaptive policies' anchor point) otherwise.
@@ -424,18 +576,20 @@ void push_submissions(const std::vector<orch::Submission>& subs,
   }
 }
 
-/// Route one generation window: every cache access, mapping lookup and
-/// orchestration decision for `block`, in global arrival order, appended to
-/// the shards' current batches (`current[s]` for shard s).  A standalone
+/// Route one generated window: every mapping lookup and orchestration
+/// decision for its arrivals, in global arrival order, appended to the
+/// shards' current batches (`current[s]` for shard s).  A standalone
 /// function rather than a closure over the router's locals: with everything
 /// it reads passed explicitly, the loop state stays in registers across the
-/// batch appends.  `spans` is non-null only when a cache is present and
-/// span tracing is on; cache hits are served from memory with zero latency,
-/// never reach a disk, and are recorded into `hits` and `hist`.
-void route_window(const workload::RequestBlock& block,
+/// batch appends.  `hit` is the producer's cache verdict per arrival, null
+/// when the run has no cache; `spans` is non-null only when a cache is
+/// present and span tracing is on.  Cache hits are served from memory with
+/// zero latency, never reach a disk, and are recorded into `hits` and
+/// `hist`.
+void route_window(const workload::RequestBlock& block, const std::uint8_t* hit,
                   const workload::FileCatalog& catalog,
                   const std::uint32_t* mapping,
-                  const workload::FileExtent* extents, cache::FileCache* cache,
+                  const workload::FileExtent* extents,
                   orch::FleetController* controller, obs::TraceBuffer* spans,
                   std::uint32_t shards, ShardBatch* const* current,
                   std::vector<orch::Submission>& subs, stats::Welford& hits,
@@ -447,7 +601,7 @@ void route_window(const workload::RequestBlock& block,
   const std::uint64_t* block_lba = block.lba.data();
   for (std::size_t i = 0; i < n; ++i) {
     const auto& file = catalog.by_id(file_id[i]);
-    if (cache != nullptr && cache->access(file.id, file.size)) {
+    if (hit != nullptr && hit[i] != 0) {
       if (spans != nullptr) {
         spans->emit(obs::Kind::kSpan, obs::kSpanCacheHit, arrival[i],
                     obs::kDispatcherTrack, id[i], file.size);
@@ -506,10 +660,10 @@ std::vector<RunResult> run_pipeline(const ExperimentConfig& config,
   const auto stream =
       config.workload.make_stream(*config.catalog, config.seed);
 
-  // The router is the fleet's dispatcher: it owns the cache and performs
-  // every routing decision in global arrival order, so the dispatcher-track
-  // span events (cache hit/miss) are emitted here, in the same order at any
-  // shard count.
+  // The router is the fleet's dispatcher: it performs every routing
+  // decision in global arrival order, so the dispatcher-track span events
+  // (cache hit/miss, from the producer's flags) are emitted here, in the
+  // same order at any shard count.
   obs::TraceBuffer router_trace{setup.sim_mask};
   obs::TraceBuffer* const spans =
       cache != nullptr && router_trace.wants(obs::Kind::kSpan) ? &router_trace
@@ -520,6 +674,25 @@ std::vector<RunResult> run_pipeline(const ExperimentConfig& config,
   const auto controller = make_controller(config, setup, &router_trace);
   std::vector<orch::Submission> subs;
   std::vector<obs::TraceEvent> router_prof; ///< kProfRouterFill per window
+
+  // Conservative windows: route all arrivals below each frontier, then let
+  // every shard advance to it.  Any length is causally safe (no feedback
+  // path); this one bounds batch memory to a few thousand submissions per
+  // shard at the bench's request rates.
+  const double window = std::max(1e-3, horizon / 256.0);
+  // The producer gets its own thread only where it takes real work off a
+  // router that hands off to workers: a cache to filter or an orchestration
+  // controller loading the router.  A cache-less, unorchestrated router only
+  // generates and looks up the mapping, and a third thread would contend
+  // with the workers for cores.
+  const bool threaded_producer =
+      !inline_replay && (cache != nullptr || controller != nullptr);
+  // Arena size: twice the mean arrivals per window, room for a diurnal
+  // peak, so the producer thread does not grow its arenas.
+  const auto per_window = static_cast<std::size_t>(std::min(
+      65536.0, 2.0 * config.workload.mean_rate() * window + 64.0));
+  ArrivalProducer producer{*stream, *config.catalog, cache.get(), window,
+                           threaded_producer, per_window, setup};
   std::uint64_t window_idx = 0;
 
   RunResult root;
@@ -533,15 +706,19 @@ std::vector<RunResult> run_pipeline(const ExperimentConfig& config,
   std::exception_ptr router_error;
 
   {
+    std::jthread producer_thread;
     std::vector<std::jthread> workers;
-    if (!inline_replay) {
-      workers.reserve(shards);
-      for (auto& state : states) {
-        workers.emplace_back([s = state.get()] { s->run(); });
-      }
-    }
     const auto t0 = PerfClock::now();
     try {
+      if (threaded_producer) {
+        producer_thread = std::jthread{[&producer] { producer.run(); }};
+      }
+      if (!inline_replay) {
+        workers.reserve(shards);
+        for (auto& state : states) {
+          workers.emplace_back([s = state.get()] { s->run(); });
+        }
+      }
       // Pop a drained arena for `shard`, charging blocked time to the
       // router stall counter.  A closed ring means the worker died.
       const auto acquire = [&](std::uint32_t shard) -> ShardBatch* {
@@ -567,13 +744,6 @@ std::vector<RunResult> run_pipeline(const ExperimentConfig& config,
         high_water[shard] = std::max(high_water[shard], state.full.size());
       };
 
-      // Conservative windows: route all arrivals below each frontier, then
-      // let every shard advance to it.  Any length is causally safe (no
-      // feedback path); this one bounds batch memory to a few thousand
-      // submissions per shard at the bench's request rates.
-      const double window = std::max(1e-3, horizon / 256.0);
-      workload::WindowedStream windowed{*stream};
-      workload::RequestBlock block;
       std::vector<ShardBatch*> current(shards, nullptr);
       const auto acquire_all = [&] {
         for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
@@ -585,20 +755,21 @@ std::vector<RunResult> run_pipeline(const ExperimentConfig& config,
           current[w] = nullptr;
         }
       };
-      double frontier = 0.0;
-      while (!windowed.exhausted()) {
+      while (WindowArena* arena = producer.next(router_stall)) {
         const double f0 =
             setup.profiling ? seconds_since(setup.prof_t0) : 0.0;
-        frontier = fill_window(windowed, frontier, window, block);
         acquire_all();
-        // Whole-window decision batch: every cache access and mapping
-        // lookup happens here, in global arrival order, before anything is
-        // published.
-        root.requests += block.size();
-        route_window(block, *config.catalog, config.mapping.data(),
-                     setup.extents.data(), cache.get(), controller.get(),
-                     spans, shards, current.data(), subs, root.hits_response,
-                     root_hist);
+        // Whole-window decision batch: every mapping lookup and
+        // orchestration decision happens here, in global arrival order,
+        // before anything is published.
+        const double frontier = arena->frontier;
+        root.requests += arena->block.size();
+        route_window(arena->block,
+                     cache != nullptr ? arena->hit.data() : nullptr,
+                     *config.catalog, config.mapping.data(),
+                     setup.extents.data(), controller.get(), spans, shards,
+                     current.data(), subs, root.hits_response, root_hist);
+        producer.recycle(arena);
         if (controller != nullptr) {
           // Destages due inside this window but after its last arrival:
           // flushed at the frontier so the next window's arrivals (all
@@ -638,18 +809,21 @@ std::vector<RunResult> run_pipeline(const ExperimentConfig& config,
       router_error = std::current_exception();
     }
     router_wall = seconds_since(t0);
-    // Normal completion: workers exit after their final batch (pushed
-    // before the close, so it is still delivered).  Abort: this wakes
-    // every blocked worker, which returns without finalizing.
+    // Normal completion: the producer has already closed its full ring and
+    // workers exit after their final batch (pushed before the close, so it
+    // is still delivered).  Abort: this wakes every blocked thread, which
+    // returns without finalizing.
+    producer.close();
     for (auto& state : states) {
       state->full.close();
       state->free_ring.close();
     }
-  } // workers join here
+  } // workers and the producer join here
 
   for (auto& state : states) {
     if (state->error) std::rethrow_exception(state->error);
   }
+  if (producer.error) std::rethrow_exception(producer.error);
   if (router_error) std::rethrow_exception(router_error);
 
   if (cache != nullptr) root.cache = cache->stats();
@@ -670,6 +844,8 @@ std::vector<RunResult> run_pipeline(const ExperimentConfig& config,
     }
     trace->profile.insert(trace->profile.end(), router_prof.begin(),
                           router_prof.end());
+    trace->profile.insert(trace->profile.end(), producer.prof.begin(),
+                          producer.prof.end());
     for (const auto& state : states) {
       trace->profile.insert(trace->profile.end(), state->prof.begin(),
                             state->prof.end());
@@ -689,6 +865,8 @@ std::vector<RunResult> run_pipeline(const ExperimentConfig& config,
     perf->router_busy_s =
         std::max(0.0, router_wall - router_stall - replayed);
     perf->router_stall_s = router_stall;
+    perf->producer_busy_s = producer.busy_s;
+    perf->producer_wait_s = producer.wait_s;
     perf->per_shard.resize(shards);
     perf->worker_busy_s.assign(shards, 0.0);
     perf->worker_wait_s.assign(shards, 0.0);

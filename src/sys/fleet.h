@@ -7,20 +7,32 @@
 // interact only through the cache and orchestration *at arrival time*, and
 // a completion never feeds back into shared state.
 //
-// One pipeline runs every scenario.  The router (the calling thread)
-// generates arrivals in conservative time windows, makes every cache,
-// mapping and orchestration decision in global arrival order, and
-// publishes each shard's pre-routed batch over a lock-free SPSC ring
-// (util/spsc_ring.h) to one worker thread per shard; a second ring
-// recycles drained batch arenas, so the steady state allocates nothing.
-// At one shard the router replays each window itself, through the
-// workers' replay step, and the run starts no thread.  With no feedback
-// path any window length is causally safe; it bounds skew and batch
-// memory, never correctness.
+// One pipeline of three stages runs every scenario:
+//   1. the producer generates arrivals in conservative time windows and
+//      runs every front-cache access, in global arrival order, recording a
+//      hit flag per arrival;
+//   2. the router (the calling thread) makes every mapping and
+//      orchestration decision in global arrival order and splits each
+//      window into per-shard pre-routed batches;
+//   3. one worker per shard replays its batches into the shard calendar.
+// Stages hand work over lock-free SPSC rings (util/spsc_ring.h), each
+// paired with a second ring that recycles drained arenas, so the steady
+// state allocates nothing.  Neither the producer's generation nor its cache
+// depends on a routing decision, so it can run ahead of the router.
+//
+// Threads: a one-shard run starts none — the router produces each window
+// and replays it itself, through the same produce/route/replay steps.  A
+// k-shard run starts k worker threads; the producer gets a thread of its
+// own (k + 1 in total) only when the run has a front cache or an
+// orchestration controller, and otherwise runs inline on the router, which
+// then does little more than generate and look up the mapping.  With no
+// feedback path any window length is causally safe; it bounds skew and
+// batch memory, never correctness.
 //
 // Determinism: results are bit-identical at every shard count, because
 //   * each disk's RNG is split from the farm RNG in disk-id order;
-//   * the router pulls the one arrival stream draw for draw;
+//   * the producer pulls the one arrival stream draw for draw and accesses
+//     the cache in arrival order, whichever thread it runs on;
 //   * within a shard, replay uses run_until(arrival) + submit(), so pending
 //     disk events at t <= arrival always run before a submission at t —
 //     one tie rule whatever the shard count;
@@ -55,8 +67,17 @@ struct ShardPerf {
 struct FleetPerf {
   std::uint32_t shards = 0;
   std::uint32_t workers = 0; ///< OS threads driving shard calendars
-  double router_busy_s = 0.0;  ///< router generation + routing time
-  double router_stall_s = 0.0; ///< router blocked on a full ring
+  /// Router routing time, plus generation and cache filtering when the
+  /// producer runs inline.
+  double router_busy_s = 0.0;
+  /// Router blocked: on a full ring (a worker lagging) or, with a threaded
+  /// producer, on an empty generation ring (the producer lagging).
+  double router_stall_s = 0.0;
+  /// Threaded producer only (0 when it runs inline on the router):
+  /// generation plus cache-filtering time, and time blocked on a full
+  /// generation ring (the router lagging).
+  double producer_busy_s = 0.0;
+  double producer_wait_s = 0.0;
   std::vector<ShardPerf> per_shard;    ///< indexed by shard
   std::vector<double> worker_busy_s;   ///< indexed by worker
   std::vector<double> worker_wait_s;   ///< blocked on an empty ring
@@ -68,6 +89,17 @@ struct FleetPerf {
 /// pipeline overhead than the extra parallelism returns); any explicit
 /// request is honored up to [1, num_disks] — a shard owns at least one
 /// disk.
+///
+/// Threads: a k-shard run starts k worker threads besides the calling
+/// thread, which routes, plus a producer thread when the run has a front
+/// cache or orchestration.  Auto picks k = hardware threads H on a farm
+/// of at least 32·H disks, so such a run has H + 1 threads (H + 2 with a
+/// producer) on H hardware threads: the host is oversubscribed by one or
+/// two threads, by design.  A stage that waits parks in the ring backoff
+/// (spin, then yield, then 50 µs sleeps), so a waiting worker or producer
+/// gives its core back; where every stage is busy the extra threads share
+/// cores.  Ask for an explicit count (e.g. H − 1) to keep one core per
+/// thread.
 std::uint32_t effective_shards(std::uint32_t requested,
                                std::uint32_t num_disks);
 

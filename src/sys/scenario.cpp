@@ -746,6 +746,8 @@ std::string to_json(const FleetPerf& perf) {
   out += ", \"workers\": " + std::to_string(perf.workers);
   out += ", \"router_busy_s\": " + num(perf.router_busy_s);
   out += ", \"router_stall_s\": " + num(perf.router_stall_s);
+  out += ", \"producer_busy_s\": " + num(perf.producer_busy_s);
+  out += ", \"producer_wait_s\": " + num(perf.producer_wait_s);
   out += ", \"worker_busy_s\": [";
   for (std::size_t w = 0; w < perf.worker_busy_s.size(); ++w) {
     if (w != 0) out += ", ";

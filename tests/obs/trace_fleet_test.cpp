@@ -126,6 +126,109 @@ TEST(TraceFleetIdentity, RoutedPathMatchesSingleCalendar) {
   }
 }
 
+void expect_same_welford(const stats::Welford& a, const stats::Welford& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.sum(), b.sum());
+  EXPECT_EQ(a.variance(), b.variance());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+}
+
+/// Every RunResult field, bitwise: the summary, both histograms bin by bin,
+/// and every per-disk record.
+void expect_identical_result(const sys::RunResult& a, const sys::RunResult& b) {
+  EXPECT_EQ(sys::to_json(a), sys::to_json(b));
+  EXPECT_EQ(a.power.horizon_s, b.power.horizon_s);
+  EXPECT_EQ(a.power.energy, b.power.energy);
+  EXPECT_EQ(a.power.average_power, b.power.average_power);
+  EXPECT_EQ(a.power.always_on_energy, b.power.always_on_energy);
+  EXPECT_EQ(a.power.saving_vs_always_on, b.power.saving_vs_always_on);
+  EXPECT_EQ(a.power.spin_ups, b.power.spin_ups);
+  EXPECT_EQ(a.power.spin_downs, b.power.spin_downs);
+  EXPECT_EQ(a.power.state_time, b.power.state_time);
+  expect_same_welford(a.response.moments(), b.response.moments());
+  const auto& ha = a.response.histogram();
+  const auto& hb = b.response.histogram();
+  ASSERT_EQ(ha.bins(), hb.bins());
+  EXPECT_EQ(ha.total(), hb.total());
+  EXPECT_EQ(ha.underflow(), hb.underflow());
+  EXPECT_EQ(ha.overflow(), hb.overflow());
+  for (std::size_t i = 0; i < ha.bins(); ++i) {
+    ASSERT_EQ(ha.bin_count(i), hb.bin_count(i)) << "response bin " << i;
+  }
+  expect_same_welford(a.hits_response, b.hits_response);
+  EXPECT_EQ(a.cache.hits, b.cache.hits);
+  EXPECT_EQ(a.cache.misses, b.cache.misses);
+  EXPECT_EQ(a.cache.evictions, b.cache.evictions);
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.completed_at_horizon, b.completed_at_horizon);
+  EXPECT_EQ(a.in_flight_at_horizon, b.in_flight_at_horizon);
+  ASSERT_EQ(a.per_disk.size(), b.per_disk.size());
+  for (std::size_t d = 0; d < a.per_disk.size(); ++d) {
+    SCOPED_TRACE("disk " + std::to_string(d));
+    const auto& da = a.per_disk[d];
+    const auto& db = b.per_disk[d];
+    EXPECT_EQ(da.disk_id, db.disk_id);
+    EXPECT_EQ(da.state_time, db.state_time);
+    EXPECT_EQ(da.spin_ups, db.spin_ups);
+    EXPECT_EQ(da.spin_downs, db.spin_downs);
+    EXPECT_EQ(da.served, db.served);
+    EXPECT_EQ(da.bytes_served, db.bytes_served);
+    EXPECT_EQ(da.queued, db.queued);
+    EXPECT_EQ(da.in_service, db.in_service);
+    EXPECT_EQ(da.destage_served, db.destage_served);
+    EXPECT_EQ(da.destage_pending, db.destage_pending);
+    EXPECT_EQ(da.positionings, db.positionings);
+    ASSERT_EQ(da.idle_periods.bins(), db.idle_periods.bins());
+    EXPECT_EQ(da.idle_periods.total(), db.idle_periods.total());
+    for (std::size_t i = 0; i < da.idle_periods.bins(); ++i) {
+      EXPECT_EQ(da.idle_periods.bin_count(i), db.idle_periods.bin_count(i));
+    }
+    expect_same_welford(da.response, db.response);
+    EXPECT_EQ(da.energy_j, db.energy_j);
+    EXPECT_EQ(da.always_on_j, db.always_on_j);
+  }
+}
+
+TEST(TraceFleetIdentity, ProducerThreadKeepsOrchestratedCachedRunIdentical) {
+  // The producer flags cache hits — inline on the router at one shard, on
+  // its own thread at two or more — and the router emits the hit/miss
+  // spans from those flags, interleaved with the controller's decisions.
+  // Every result field and the canonical trace must not notice which
+  // thread computed the flags.
+  const auto spec = sys::ScenarioSpec::parse(
+      "catalog=table1(2000,5) load=0.5 policy=ewma cache=lru:32g replicas=2 "
+      "orch=redirect+offload:4+writes:0.1 workload=poisson(2,4000) seed=11 "
+      "obs=spans+policy");
+  RunTrace one;
+  sys::FleetPerf one_perf;
+  const auto base = sys::run_scenario(spec.with("shards", "1"), &one,
+                                      &one_perf);
+  EXPECT_EQ(one_perf.producer_busy_s, 0.0); // inline: no producer thread
+  bool redirect = false, offload = false, destage = false, hit = false;
+  for (const auto& e : one.events) {
+    redirect = redirect || (e.kind == Kind::kSpan && e.code == kSpanRedirect);
+    hit = hit || (e.kind == Kind::kSpan && e.code == kSpanCacheHit);
+    offload = offload || (e.kind == Kind::kPolicy && e.code == kPolicyOffload);
+    destage = destage || (e.kind == Kind::kPolicy && e.code == kPolicyDestage);
+  }
+  EXPECT_TRUE(redirect && offload && destage && hit);
+  EXPECT_GT(base.cache.hits, 150u); // hits in most of the ~256 windows
+
+  for (const std::uint32_t shards : {2u, 3u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    RunTrace sharded;
+    sys::FleetPerf perf;
+    const auto r = sys::run_scenario(
+        spec.with("shards", std::to_string(shards)), &sharded, &perf);
+    EXPECT_GT(perf.producer_busy_s, 0.0); // the producer had a thread
+    expect_identical_result(base, r);
+    expect_same_trace(one, sharded, "cached+orchestrated");
+  }
+}
+
 TEST(TraceFleetIdentity, TracedFleetRunMatchesUntracedResult) {
   const auto cat = fleet_catalog();
   auto cfg = fleet_config(cat, 24);
@@ -146,8 +249,9 @@ TEST(TraceFleetProfile, ProfileSamplesStayOutOfTheCanonicalStream) {
   auto cfg = fleet_config(cat, 16);
   cfg.obs.profile = true;
 
-  // Cache-less and cached runs take the same pipeline, so both sample all
-  // three of its stages.
+  // Cache-less and cached runs take the same pipeline, so both sample every
+  // one of its stages — the producer's too, whether it runs inline on the
+  // router (cache-less) or on its own thread (cached).
   for (const auto& cache :
        {sys::CacheSpec::none(), sys::CacheSpec::lru(util::mb(200.0))}) {
     SCOPED_TRACE("cache " + cache.spec());
@@ -158,19 +262,23 @@ TEST(TraceFleetProfile, ProfileSamplesStayOutOfTheCanonicalStream) {
     for (const auto& e : trace.events) {
       EXPECT_NE(e.kind, Kind::kProfile);
     }
-    bool fill = false, wait = false, replay = false;
+    bool fill = false, wait = false, replay = false, produce = false;
     for (const auto& e : trace.profile) {
       EXPECT_EQ(e.kind, Kind::kProfile);
       EXPECT_GE(e.value, 0.0);
       fill = fill || e.code == kProfRouterFill;
       wait = wait || e.code == kProfRingWait;
       replay = replay || e.code == kProfWorkerReplay;
+      produce = produce || e.code == kProfProducerFill;
       if (e.code == kProfRouterFill) {
         EXPECT_EQ(e.track, kDispatcherTrack);
       }
+      if (e.code == kProfProducerFill) {
+        EXPECT_EQ(e.track, kProducerTrack);
+      }
     }
-    EXPECT_TRUE(fill && wait && replay)
-        << "all three pipeline stages must be sampled";
+    EXPECT_TRUE(fill && wait && replay && produce)
+        << "every pipeline stage must be sampled";
   }
 }
 

@@ -323,6 +323,30 @@ TEST(FleetPerf, CountersDescribeThePipeline) {
   ASSERT_EQ(perf.worker_wait_s.size(), 3u);
   EXPECT_GE(perf.router_busy_s, 0.0);
   EXPECT_GE(perf.router_stall_s, 0.0);
+  // Cache-less: the router produces the arrivals itself, so the producer
+  // counters stay zero.
+  EXPECT_EQ(perf.producer_busy_s, 0.0);
+  EXPECT_EQ(perf.producer_wait_s, 0.0);
+
+  // One shard runs every stage inline, cached or not.
+  auto cached = cfg;
+  cached.cache = CacheSpec::lru(util::mb(200.0));
+  FleetPerf one;
+  (void)run_fleet(cached, 1, &one);
+  EXPECT_EQ(one.producer_busy_s, 0.0);
+  EXPECT_EQ(one.producer_wait_s, 0.0);
+
+  // A cached 3-shard run gives the producer its own thread.  Whether it
+  // ever outruns the router by all of its window arenas, and so waits,
+  // depends on the host's scheduling; its busy time does not.
+  FleetPerf threaded;
+  const auto r = run_fleet(cached, 3, &threaded);
+  EXPECT_GT(r.cache.hits, 0u);
+  EXPECT_GT(threaded.producer_busy_s, 0.0);
+  EXPECT_GE(threaded.producer_wait_s, 0.0);
+  const auto json = to_json(threaded);
+  EXPECT_NE(json.find("\"producer_busy_s\": "), std::string::npos);
+  EXPECT_NE(json.find("\"producer_wait_s\": "), std::string::npos);
 }
 
 TEST(RunFleet, RequiresPositiveHorizon) {

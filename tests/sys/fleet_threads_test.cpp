@@ -1,6 +1,8 @@
 // fleet_threads_test.cpp — the fleet pipeline's thread structure: the
-// router runs on the calling thread, so a one-shard run starts no thread
-// and a k-shard run starts exactly k, one worker per shard.
+// router runs on the calling thread, so a one-shard run starts no thread;
+// a k-shard run starts one worker per shard, plus one arrival producer
+// when the run has a front cache or orchestration — k threads cache-less,
+// k + 1 cached or orchestrated.
 //
 // The file interposes pthread_create with a counting wrapper that forwards
 // to libc's, the way tests/des/alloc_count_test.cpp counts operator new.
@@ -66,6 +68,14 @@ struct SmallFarm {
     cfg.workload = WorkloadSpec::poisson(0.5, 100.0);
   }
 
+  /// Orchestration on, no cache: three data disks, 2-way replication,
+  /// redirect plus one appended log disk (num_disks stays 4).
+  void orchestrate() {
+    cfg.mapping = {0, 1, 2, 0, 1, 2, 0, 1};
+    cfg.orch = OrchSpec::parse("redirect+offload:1");
+    cfg.replicas = 2;
+  }
+
   static std::vector<workload::FileInfo> files() {
     std::vector<workload::FileInfo> out(8);
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -94,6 +104,10 @@ TEST(FleetThreads, OneShardRunStartsNoThread) {
   const auto before = g_thread_starts.load();
   run_experiment(cfg); // shards = 1
   EXPECT_EQ(g_thread_starts.load() - before, 0u);
+
+  // Orchestrated and cached: the producer runs inline on the router too.
+  farm.orchestrate();
+  EXPECT_EQ(threads_started_by(cfg, 1), 0u);
 }
 
 TEST(FleetThreads, KShardRunStartsKWorkers) {
@@ -103,10 +117,18 @@ TEST(FleetThreads, KShardRunStartsKWorkers) {
   SmallFarm farm;
   auto& cfg = farm.cfg;
 
-  // The router is the calling thread: three shards, three workers.
+  // The router is the calling thread: three shards, three workers.  A
+  // cache-less router also produces the arrivals itself.
   EXPECT_EQ(threads_started_by(cfg, 3), 3u);
+  // A front cache or an orchestration controller gives the arrival
+  // producer a thread of its own: three workers plus the producer.
   cfg.cache = CacheSpec::lru(util::mb(100.0));
-  EXPECT_EQ(threads_started_by(cfg, 3), 3u);
+  EXPECT_EQ(threads_started_by(cfg, 3), 4u);
+  farm.orchestrate();
+  cfg.cache = CacheSpec::none();
+  EXPECT_EQ(threads_started_by(cfg, 3), 4u);
+  cfg.cache = CacheSpec::lru(util::mb(100.0));
+  EXPECT_EQ(threads_started_by(cfg, 3), 4u);
 }
 
 } // namespace

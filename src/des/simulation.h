@@ -33,10 +33,6 @@
 // and at most 2^40 (~1.1e12) scheduled events per Simulation lifetime — the
 // calendar key packs (sequence, slot) into one 64-bit word so the FIFO
 // tie-break costs a single integer compare.
-//
-// bench/engine_throughput.cpp measures this kernel against the previous
-// std::priority_queue + std::function + unordered_set design and records
-// the baseline in BENCH_engine.json.
 #pragma once
 
 #include <cstddef>

@@ -98,7 +98,7 @@ std::uint32_t FleetController::awake_quota() const {
 
 void FleetController::route(double t, std::uint64_t id,
                             const workload::FileInfo& file,
-                            std::vector<Submission>& out) {
+                            std::vector<Submission>& out, std::uint64_t lba) {
   if (budget_ != nullptr) {
     budget_->observe_arrival(t);
     if (const auto quota = budget_->maybe_recompute(t)) {
@@ -111,13 +111,15 @@ void FleetController::route(double t, std::uint64_t id,
   }
   const std::uint32_t primary = mapping_[file.id];
   const auto& extent = extents_[file.id];
+  const std::uint64_t primary_lba =
+      lba != workload::kNoLba ? lba : extent.lba;
 
   if (offload_ != nullptr && classify_write(id, cfg_.write_fraction)) {
     // Writes target the primary copy only (the replicas are read-time
     // copies; keeping them in sync is the next reorganization's job).
     if (!model_.awake(primary, t)) {
       const auto copy = offload_->absorb(t, id, file.id, file.size,
-                                         extent.blocks, extent.lba, primary);
+                                         extent.blocks, primary_lba, primary);
       if (copy.has_value()) {
         ++offloads_;
         if (trace_ != nullptr && trace_->wants(obs::Kind::kPolicy)) {
@@ -135,12 +137,12 @@ void FleetController::route(double t, std::uint64_t id,
     // Awake primary (or a full log tier): write through — and since the
     // primary is spinning for this request anyway, settle its debt now.
     submit_foreground(t, id, file.size,
-                      Choice{primary, extent.lba, extent.blocks}, out);
+                      Choice{primary, primary_lba, extent.blocks}, out);
     trigger_destage(t, id, primary, out);
     return;
   }
 
-  const Choice c = pick_read_target(t, file);
+  const Choice c = pick_read_target(t, file, primary_lba);
   if (c.disk != primary) {
     ++redirects_;
     if (trace_ != nullptr && trace_->wants(obs::Kind::kSpan)) {
@@ -154,7 +156,7 @@ void FleetController::route(double t, std::uint64_t id,
 }
 
 FleetController::Choice FleetController::pick_read_target(
-    double t, const workload::FileInfo& file) {
+    double t, const workload::FileInfo& file, std::uint64_t primary_lba) {
   const std::uint32_t primary = mapping_[file.id];
   const auto& extent = extents_[file.id];
   if (offload_ != nullptr) {
@@ -164,7 +166,7 @@ FleetController::Choice FleetController::pick_read_target(
     }
   }
   if (!cfg_.redirect || offset_.empty()) {
-    return Choice{primary, extent.lba, extent.blocks};
+    return Choice{primary, primary_lba, extent.blocks};
   }
   // Replica preference, all ties broken by lowest disk id: (1) a replica
   // the model predicts awake (no spin-up at all), else (2) a replica
@@ -189,7 +191,7 @@ FleetController::Choice FleetController::pick_read_target(
       have_prefix = true;
     }
   };
-  consider(primary, extent.lba, extent.blocks);
+  consider(primary, primary_lba, extent.blocks);
   for (std::uint32_t i = offset_[file.id]; i < offset_[file.id + 1]; ++i) {
     consider(replica_disk_[i], replica_extent_[i].lba,
              replica_extent_[i].blocks);

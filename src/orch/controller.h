@@ -143,9 +143,15 @@ public:
 
   /// Rewrite one post-cache arrival (non-decreasing t) into submissions:
   /// exactly one foreground submission at time t, plus any background
-  /// destages it triggers (also at t, appended after it).
+  /// destages it triggers (also at t, appended after it).  `lba`, when not
+  /// workload::kNoLba, is the request's pinned address on the primary copy
+  /// (a trace-supplied LBA): it replaces the layout extent's wherever the
+  /// primary is addressed — a primary read, a write-through and an
+  /// off-loaded write's destage target.  Replica and log copies keep their
+  /// own addresses.
   void route(double t, std::uint64_t id, const workload::FileInfo& file,
-             std::vector<Submission>& out);
+             std::vector<Submission>& out,
+             std::uint64_t lba = workload::kNoLba);
 
   /// Emit background destages for every buffered write whose deadline has
   /// passed (each at its own deadline time).  Call with the window frontier
@@ -174,7 +180,8 @@ private:
     std::uint64_t blocks = 0;
   };
 
-  Choice pick_read_target(double t, const workload::FileInfo& file);
+  Choice pick_read_target(double t, const workload::FileInfo& file,
+                          std::uint64_t primary_lba);
   void submit_foreground(double t, std::uint64_t id, util::Bytes bytes,
                          const Choice& c, std::vector<Submission>& out);
   void trigger_destage(double t, std::uint64_t id, std::uint32_t disk,

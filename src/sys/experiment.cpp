@@ -443,9 +443,6 @@ WorkloadSpec WorkloadSpec::parse(const std::string& name) {
 
 RunResult run_experiment(const ExperimentConfig& config, obs::RunTrace* trace,
                          FleetPerf* perf) {
-  if (config.catalog == nullptr) {
-    throw std::invalid_argument{"ExperimentConfig: catalog is required"};
-  }
   const std::uint32_t shards =
       effective_shards(config.shards, config.num_disks);
   return run_fleet(config, shards, perf, trace);

@@ -76,149 +76,22 @@ void sort_profile(std::vector<obs::TraceEvent>& profile) {
                    });
 }
 
-/// Pre-routed submissions for one shard, one synchronization window.
-/// Structure-of-arrays like workload::RequestBlock: the worker's replay
-/// loop touches time[] on every iteration but the payload fields only at
-/// submit time.  Instances live in per-shard arenas and are recycled
-/// through the free ring — reset() keeps vector capacity, so the steady
-/// state allocates nothing.
+/// Pre-routed submissions for one shard, one synchronization window, with
+/// `disk` rewritten to the shard-local index.  Instances live in per-shard
+/// arenas and are recycled through the free ring — reset() keeps vector
+/// capacity, so the steady state allocates nothing.
 struct ShardBatch {
-  std::vector<double> time;
-  std::vector<std::uint64_t> request_id;
-  std::vector<util::Bytes> bytes;
-  std::vector<std::uint64_t> lba;
-  std::vector<std::uint64_t> blocks;
-  std::vector<std::uint32_t> local_disk;
-  std::vector<std::uint8_t> background; ///< orchestration destage I/O
+  std::vector<orch::Submission> subs;
   /// The routed frontier: the worker may advance its clock here after
   /// replaying the batch (the router has routed every arrival below it).
   double advance_to = 0.0;
   bool final = false;
 
-  std::size_t size() const { return time.size(); }
-  void push(double t, std::uint64_t id, util::Bytes b, std::uint64_t l,
-            std::uint64_t nblocks, std::uint32_t disk, bool bg = false) {
-    time.push_back(t);
-    request_id.push_back(id);
-    bytes.push_back(b);
-    lba.push_back(l);
-    blocks.push_back(nblocks);
-    local_disk.push_back(disk);
-    background.push_back(bg ? 1 : 0);
-  }
   void reset() {
-    time.clear();
-    request_id.clear();
-    bytes.clear();
-    lba.clear();
-    blocks.clear();
-    local_disk.clear();
-    background.clear();
+    subs.clear();
     advance_to = 0.0;
     final = false;
   }
-};
-
-/// One shard's private calendar: the disks with id % shards == shard
-/// (local index l holds global disk shard + l * shards), per-disk response
-/// accumulators, and the horizon-snapshot rule.
-/// Heap-allocated and never moved: the completion callbacks capture member
-/// addresses.
-class ShardSim {
-public:
-  /// `obs_mask` non-zero enables tracing into a shard-private buffer
-  /// (single-writer: exactly one thread ever drives this calendar).  The
-  /// sampler is started after every disk exists, so its calendar ticks are
-  /// inserted after all idle timers — the same insertion order in every
-  /// shard, hence the same measure-zero tie resolution.
-  ShardSim(const ExperimentConfig& config, double horizon,
-           const std::vector<std::uint32_t>& disk_ids,
-           const std::vector<util::Rng>& rngs,
-           const std::vector<const PolicySpec*>& policies,
-           std::uint32_t obs_mask = 0, double metrics_interval_s = 0.0)
-      : horizon_(horizon) {
-    if (obs_mask != 0) {
-      trace_ = std::make_unique<obs::TraceBuffer>(obs_mask);
-    }
-    disks_.reserve(disk_ids.size());
-    responses_.resize(disk_ids.size());
-    for (std::size_t l = 0; l < disk_ids.size(); ++l) {
-      disks_.push_back(std::make_unique<disk::Disk>(
-          sim_, disk_ids[l], config.params, policies[l]->make(config.params),
-          rngs[l], config.scheduler.make()));
-      if (trace_ != nullptr) disks_.back()->set_trace(trace_.get());
-      disks_.back()->set_completion_callback(
-          [&resp = responses_[l], this](const disk::Completion& c) {
-            if (c.background) return; // destage I/O: not a client response
-            resp.add(c.response_time());
-            hist_.add(c.response_time());
-          });
-    }
-    if (trace_ != nullptr) {
-      sampler_ = std::make_unique<obs::MetricsSampler>(
-          sim_, metrics_interval_s, horizon, trace_.get());
-      for (const auto& d : disks_) sampler_->add_disk(d.get());
-      sampler_->start();
-    }
-  }
-  ShardSim(const ShardSim&) = delete;
-  ShardSim& operator=(const ShardSim&) = delete;
-
-  /// Fixed tie rule: every pending disk event at t <= arrival runs before
-  /// a submission at t — identical at any shard count.  The horizon
-  /// snapshot (freezing the power/queue counters) is taken before the
-  /// local clock first passes the horizon.
-  void advance(double t) {
-    if (snapshot_.empty() && t >= horizon_) {
-      sim_.run_until(horizon_);
-      snapshot_.reserve(disks_.size());
-      for (const auto& d : disks_) snapshot_.push_back(d->metrics(horizon_));
-    }
-    sim_.run_until(t);
-  }
-
-  void submit(std::uint32_t local_disk, std::uint64_t request_id,
-              util::Bytes bytes, std::uint64_t lba, std::uint64_t blocks,
-              bool background = false) {
-    disks_[local_disk]->submit(request_id, bytes, lba, blocks, background);
-    ++submissions_;
-  }
-
-  double now() const { return sim_.now(); }
-  std::uint64_t submissions() const { return submissions_; }
-  obs::TraceBuffer* trace_buffer() { return trace_.get(); }
-
-  /// Drain: in-flight services run to completion past the horizon and
-  /// still record their response times.
-  RunResult finalize() {
-    advance(horizon_);
-    sim_.run();
-    for (std::size_t l = 0; l < snapshot_.size(); ++l) {
-      snapshot_[l].response = responses_[l];
-    }
-    RunResult partial;
-    partial.power.horizon_s = horizon_;
-    // Sampler ticks are observation overhead, not simulated physics:
-    // subtract them so `events` matches the untraced run bit-for-bit.
-    partial.events =
-        sim_.executed() - (sampler_ != nullptr ? sampler_->ticks() : 0);
-    partial.per_disk = std::move(snapshot_);
-    partial.recompute_from_per_disk(hist_);
-    return partial;
-  }
-
-private:
-  des::Simulation sim_;
-  std::unique_ptr<obs::TraceBuffer> trace_;
-  std::unique_ptr<obs::MetricsSampler> sampler_;
-  std::vector<std::unique_ptr<disk::Disk>> disks_;
-  std::vector<stats::Welford> responses_;
-  stats::LinearHistogram hist_{stats::ResponseSummary::kHistLo,
-                               stats::ResponseSummary::kHistHi,
-                               stats::ResponseSummary::kHistBins};
-  std::vector<disk::DiskMetrics> snapshot_;
-  double horizon_ = 0.0;
-  std::uint64_t submissions_ = 0;
 };
 
 /// Everything the pipeline derives from the config before any thread
@@ -273,13 +146,6 @@ struct FleetSetup {
     extents = workload::layout_extents(*config.catalog, config.mapping,
                                        config.num_disks);
   }
-
-  std::unique_ptr<ShardSim> make_sim(const ExperimentConfig& config,
-                                     std::uint32_t shard) const {
-    return std::make_unique<ShardSim>(config, horizon, disk_ids[shard],
-                                      rngs[shard], policies[shard], sim_mask,
-                                      config.obs.metrics_interval_s);
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -291,37 +157,64 @@ struct FleetSetup {
 /// worker's own exception is the root cause and is rethrown after join).
 struct PipelineAborted {};
 
-/// One shard of the pipeline: a private calendar, the full ring (router ->
-/// worker, carries filled batches) and the free ring (worker -> router,
-/// recycles drained arenas).  The arenas double-buffer generically: the
-/// router fills window N+1 (or several) while the worker drains window N,
-/// and a full free ring is what parks an idle router.
-struct RoutedShard {
-  std::unique_ptr<ShardSim> sim;
-  util::SpscRing<ShardBatch*> full{kBatchesPerShard};
-  util::SpscRing<ShardBatch*> free_ring{kBatchesPerShard};
-  std::vector<std::unique_ptr<ShardBatch>> arenas;
-  std::uint32_t shard = 0;
-  const FleetSetup* setup = nullptr; ///< profiling switch and time origin
-  // Outputs, read after join.
-  RunResult partial;
-  std::exception_ptr error;
-  std::uint64_t batches = 0;
-  double busy_s = 0.0;
-  double wait_s = 0.0;
-  std::vector<obs::TraceEvent> prof; ///< kProfRingWait / kProfWorkerReplay
-
-  /// `count` <= kBatchesPerShard arenas: the router can run that many
-  /// windows ahead of the worker.
-  void init(std::size_t count) {
-    arenas.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      arenas.push_back(std::make_unique<ShardBatch>());
-      ShardBatch* arena = arenas.back().get();
+/// One shard of the pipeline.  Its private calendar holds the disks with
+/// id % shards == shard (local index l holds global disk shard + l *
+/// shards), with per-disk response accumulators and the horizon-snapshot
+/// rule.  The full ring (router -> worker) carries filled batches and the
+/// free ring (worker -> router) recycles drained arenas.  The arenas
+/// double-buffer generically: the router fills window N+1 (or several)
+/// while the worker drains window N, and a full free ring is what parks an
+/// idle router.
+/// Heap-allocated and never moved: the completion callbacks capture member
+/// addresses.
+class Shard {
+public:
+  /// `arenas` <= kBatchesPerShard: the router can run that many windows
+  /// ahead of the worker.  A non-zero setup.sim_mask enables tracing into a
+  /// shard-private buffer (single-writer: exactly one thread ever drives
+  /// this calendar).  The sampler is started after every disk exists, so
+  /// its calendar ticks are inserted after all idle timers — the same
+  /// insertion order in every shard, hence the same measure-zero tie
+  /// resolution.
+  Shard(const ExperimentConfig& config, const FleetSetup& setup,
+        std::uint32_t shard, std::size_t arenas)
+      : shard_(shard), setup_(setup) {
+    const auto& disk_ids = setup.disk_ids[shard];
+    if (setup.sim_mask != 0) {
+      trace_ = std::make_unique<obs::TraceBuffer>(setup.sim_mask);
+    }
+    disks_.reserve(disk_ids.size());
+    responses_.resize(disk_ids.size());
+    for (std::size_t l = 0; l < disk_ids.size(); ++l) {
+      disks_.push_back(std::make_unique<disk::Disk>(
+          sim_, disk_ids[l], config.params,
+          setup.policies[shard][l]->make(config.params), setup.rngs[shard][l],
+          config.scheduler.make()));
+      if (trace_ != nullptr) disks_.back()->set_trace(trace_.get());
+      disks_.back()->set_completion_callback(
+          [&resp = responses_[l], this](const disk::Completion& c) {
+            if (c.background) return; // destage I/O: not a client response
+            resp.add(c.response_time());
+            hist_.add(c.response_time());
+          });
+    }
+    if (trace_ != nullptr) {
+      sampler_ = std::make_unique<obs::MetricsSampler>(
+          sim_, config.obs.metrics_interval_s, setup.horizon, trace_.get());
+      for (const auto& d : disks_) sampler_->add_disk(d.get());
+      sampler_->start();
+    }
+    arenas_.reserve(arenas);
+    for (std::size_t i = 0; i < arenas; ++i) {
+      arenas_.push_back(std::make_unique<ShardBatch>());
+      ShardBatch* arena = arenas_.back().get();
       free_ring.try_push(arena); // capacity >= arena count: cannot fail
     }
   }
+  Shard(const Shard&) = delete;
+  Shard& operator=(const Shard&) = delete;
 
+  /// Thread body of a worker: replay batches until the final one.
   void run() {
     try {
       consume();
@@ -337,35 +230,46 @@ struct RoutedShard {
   /// ring consumer calls it on a worker thread; a one-shard run calls it
   /// on the router thread straight after filling each window.
   bool replay(ShardBatch* batch) {
-    const bool profiling = setup->profiling;
-    const double r0 = profiling ? seconds_since(setup->prof_t0) : 0.0;
-    for (std::size_t i = 0; i < batch->size(); ++i) {
-      sim->advance(batch->time[i]);
-      sim->submit(batch->local_disk[i], batch->request_id[i],
-                  batch->bytes[i], batch->lba[i], batch->blocks[i],
-                  batch->background[i] != 0);
+    const bool profiling = setup_.profiling;
+    const double r0 = profiling ? seconds_since(setup_.prof_t0) : 0.0;
+    for (const orch::Submission& sub : batch->subs) {
+      advance(sub.t);
+      disks_[sub.disk]->submit(sub.request_id, sub.bytes, sub.lba, sub.blocks,
+                               sub.background);
     }
+    submissions += batch->subs.size();
     const bool final = batch->final;
-    if (!final && batch->advance_to > sim->now()) {
-      sim->advance(batch->advance_to);
-    }
+    if (!final && batch->advance_to > sim_.now()) advance(batch->advance_to);
     batch->reset();
     free_ring.try_push(batch); // capacity >= arena count: cannot fail
     if (profiling) {
       prof.push_back(obs::TraceEvent{r0, batches,
-                                     seconds_since(setup->prof_t0) - r0, 0.0,
-                                     shard, obs::Kind::kProfile,
+                                     seconds_since(setup_.prof_t0) - r0, 0.0,
+                                     shard_, obs::Kind::kProfile,
                                      obs::kProfWorkerReplay});
     }
-    if (final) partial = sim->finalize();
+    if (final) finalize();
     return final;
   }
+
+  obs::TraceBuffer* trace_buffer() { return trace_.get(); }
+
+  util::SpscRing<ShardBatch*> full{kBatchesPerShard};
+  util::SpscRing<ShardBatch*> free_ring{kBatchesPerShard};
+  // Outputs, read after join.
+  RunResult partial;
+  std::exception_ptr error;
+  std::uint64_t submissions = 0;
+  std::uint64_t batches = 0;
+  double busy_s = 0.0;
+  double wait_s = 0.0;
+  std::vector<obs::TraceEvent> prof; ///< kProfRingWait / kProfWorkerReplay
 
 private:
   void consume() {
     const auto t0 = PerfClock::now();
-    const bool profiling = setup->profiling;
-    const auto prof_t0 = setup->prof_t0;
+    const bool profiling = setup_.profiling;
+    const auto prof_t0 = setup_.prof_t0;
     for (;;) {
       ShardBatch* batch = nullptr;
       const auto w0 = PerfClock::now();
@@ -375,13 +279,57 @@ private:
       ++batches;
       if (profiling) {
         prof.push_back(obs::TraceEvent{
-            wait0, batches, seconds_since(prof_t0) - wait0, 0.0, shard,
+            wait0, batches, seconds_since(prof_t0) - wait0, 0.0, shard_,
             obs::Kind::kProfile, obs::kProfRingWait});
       }
       if (replay(batch)) break;
     }
     busy_s = seconds_since(t0) - wait_s;
   }
+
+  /// Fixed tie rule: every pending disk event at t <= arrival runs before
+  /// a submission at t — identical at any shard count.  The horizon
+  /// snapshot (freezing the power/queue counters) is taken before the
+  /// local clock first passes the horizon.
+  void advance(double t) {
+    const double horizon = setup_.horizon;
+    if (snapshot_.empty() && t >= horizon) {
+      sim_.run_until(horizon);
+      snapshot_.reserve(disks_.size());
+      for (const auto& d : disks_) snapshot_.push_back(d->metrics(horizon));
+    }
+    sim_.run_until(t);
+  }
+
+  /// Drain into `partial`: in-flight services run to completion past the
+  /// horizon and still record their response times.
+  void finalize() {
+    advance(setup_.horizon);
+    sim_.run();
+    for (std::size_t l = 0; l < snapshot_.size(); ++l) {
+      snapshot_[l].response = responses_[l];
+    }
+    partial.power.horizon_s = setup_.horizon;
+    // Sampler ticks are observation overhead, not simulated physics:
+    // subtract them so `events` matches the untraced run bit-for-bit.
+    partial.events =
+        sim_.executed() - (sampler_ != nullptr ? sampler_->ticks() : 0);
+    partial.per_disk = std::move(snapshot_);
+    partial.recompute_from_per_disk(hist_);
+  }
+
+  std::uint32_t shard_;
+  const FleetSetup& setup_;
+  des::Simulation sim_;
+  std::unique_ptr<obs::TraceBuffer> trace_;
+  std::unique_ptr<obs::MetricsSampler> sampler_;
+  std::vector<std::unique_ptr<disk::Disk>> disks_;
+  std::vector<stats::Welford> responses_;
+  stats::LinearHistogram hist_{stats::ResponseSummary::kHistLo,
+                               stats::ResponseSummary::kHistHi,
+                               stats::ResponseSummary::kHistBins};
+  std::vector<disk::DiskMetrics> snapshot_;
+  std::vector<std::unique_ptr<ShardBatch>> arenas_;
 };
 
 /// The pipeline's first stage: generates the arrival stream window by
@@ -566,13 +514,14 @@ std::unique_ptr<orch::FleetController> make_controller(
                                                  setup.extents, trace);
 }
 
-/// Append the controller's rewritten submissions to their shards' batches.
+/// Append the controller's rewritten submissions to their shards' batches,
+/// each with `disk` rewritten to the shard-local index.
 void push_submissions(const std::vector<orch::Submission>& subs,
                       std::uint32_t shards, ShardBatch* const* current) {
-  for (const auto& sub : subs) {
-    current[sub.disk % shards]->push(sub.t, sub.request_id, sub.bytes, sub.lba,
-                                     sub.blocks, sub.disk / shards,
-                                     sub.background);
+  for (orch::Submission sub : subs) {
+    const std::uint32_t shard = sub.disk % shards;
+    sub.disk /= shards;
+    current[shard]->subs.push_back(sub);
   }
 }
 
@@ -621,15 +570,15 @@ void route_window(const workload::RequestBlock& block, const std::uint8_t* hit,
       // per-shard batch times stay non-decreasing.
       subs.clear();
       controller->flush_deadlines(arrival[i], subs);
-      controller->route(arrival[i], id[i], file, subs);
+      controller->route(arrival[i], id[i], file, subs, block_lba[i]);
       push_submissions(subs, shards, current);
       continue;
     }
     const auto& extent = extents[file.id];
     const std::uint64_t lba =
         block_lba[i] != workload::kNoLba ? block_lba[i] : extent.lba;
-    current[disk % shards]->push(arrival[i], id[i], file.size, lba,
-                                 extent.blocks, disk / shards);
+    current[disk % shards]->subs.push_back(orch::Submission{
+        arrival[i], id[i], file.size, lba, extent.blocks, disk / shards});
   }
 }
 
@@ -643,17 +592,13 @@ std::vector<RunResult> run_pipeline(const ExperimentConfig& config,
   // it to a worker, so the run starts no thread.
   const bool inline_replay = shards == 1;
 
-  std::vector<std::unique_ptr<RoutedShard>> states;
+  // Inline replay drains each window before the next is filled, so one
+  // recycled arena suffices.
+  const std::size_t arenas = inline_replay ? 1 : kBatchesPerShard;
+  std::vector<std::unique_ptr<Shard>> states;
   states.reserve(shards);
   for (std::uint32_t w = 0; w < shards; ++w) {
-    auto state = std::make_unique<RoutedShard>();
-    state->sim = setup.make_sim(config, w);
-    state->shard = w;
-    state->setup = &setup;
-    // Inline replay drains each window before the next is filled, so one
-    // recycled arena suffices.
-    state->init(inline_replay ? 1 : kBatchesPerShard);
-    states.push_back(std::move(state));
+    states.push_back(std::make_unique<Shard>(config, setup, w, arenas));
   }
 
   const auto cache = config.cache.make(config.catalog->size());
@@ -838,7 +783,7 @@ std::vector<RunResult> run_pipeline(const ExperimentConfig& config,
       buffers.reserve(1 + shards);
       buffers.push_back(&router_trace);
       for (const auto& state : states) {
-        buffers.push_back(state->sim->trace_buffer());
+        buffers.push_back(state->trace_buffer());
       }
       obs::append_canonical(trace->events, buffers);
     }
@@ -872,7 +817,7 @@ std::vector<RunResult> run_pipeline(const ExperimentConfig& config,
     perf->worker_wait_s.assign(shards, 0.0);
     for (std::uint32_t w = 0; w < shards; ++w) {
       perf->per_shard[w].shard = w;
-      perf->per_shard[w].submissions = states[w]->sim->submissions();
+      perf->per_shard[w].submissions = states[w]->submissions;
       perf->per_shard[w].batches = states[w]->batches;
       perf->per_shard[w].events = partials[w + 1].events;
       perf->per_shard[w].ring_high_water = high_water[w];

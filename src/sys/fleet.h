@@ -13,7 +13,10 @@
 //      hit flag per arrival;
 //   2. the router (the calling thread) makes every mapping and
 //      orchestration decision in global arrival order and splits each
-//      window into per-shard pre-routed batches;
+//      window into per-shard pre-routed batches — rows of orch::Submission,
+//      the record the orchestration controller emits, with `disk`
+//      rewritten to the shard-local index (global disk shard + l * shards
+//      is local index l);
 //   3. one worker per shard replays its batches into the shard calendar.
 // Stages hand work over lock-free SPSC rings (util/spsc_ring.h), each
 // paired with a second ring that recycles drained arenas, so the steady

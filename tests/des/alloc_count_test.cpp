@@ -342,8 +342,10 @@ TEST(AllocCount, OrchestratedCachedRunAllocatesAlmostNothingPerRequest) {
 }
 
 TEST(AllocCount, ThreeShardOrchestratedCachedRunAllocatesAlmostNothing) {
-  // Three workers plus the producer thread.
-  EXPECT_LE(orchestrated_cached_allocs_per_request(3), 0.05);
+  // Three workers plus the producer thread.  Each shard batch is one
+  // vector of submission records, so a window grows at most one vector per
+  // shard; a batch split into per-field vectors read about 0.02 here.
+  EXPECT_LE(orchestrated_cached_allocs_per_request(3), 0.012);
 }
 
 TEST(AllocCount, OversizedCaptureDoesAllocate) {

@@ -233,5 +233,35 @@ TEST(OrchController, AwakePrimaryWritesThroughWithoutOffload) {
   EXPECT_EQ(h.controller->offloads(), 0u);
 }
 
+TEST(OrchController, PinnedLbaAddressesThePrimaryCopyOnly) {
+  Harness h{offload_config()};
+  const std::uint64_t pinned = 777;
+  const std::uint64_t rid = find_id(false, 0.5);
+  const std::uint64_t wid = find_id(true, 0.5);
+  std::vector<Submission> out;
+  // A primary read and a write-through both land at the pinned address.
+  h.controller->route(1.0, rid, h.files[0], out, pinned);
+  h.controller->route(1.0, wid, h.files[1], out, pinned);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].disk, 0u);
+  EXPECT_EQ(out[0].lba, pinned);
+  EXPECT_EQ(out[1].disk, 1u);
+  EXPECT_EQ(out[1].lba, pinned);
+
+  // An off-loaded write lands at the log cursor, and its destage goes home
+  // to the pinned address.
+  const std::uint64_t wid2 = find_id(true, 0.5, wid + 1);
+  out.clear();
+  h.controller->route(1000.0, wid2, h.files[0], out, pinned);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].disk, 2u);
+  EXPECT_EQ(out[0].lba, 0u);
+  out.clear();
+  h.controller->flush_deadlines(1050.0, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].disk, 0u);
+  EXPECT_EQ(out[0].lba, pinned);
+}
+
 } // namespace
 } // namespace spindown::orch

@@ -148,6 +148,31 @@ TEST_F(DispatcherFixture, ExplicitRequestLbaOverridesLayout) {
               1e-9);
 }
 
+TEST_F(DispatcherFixture, OrchestratedRoutingKeepsThePinnedLba) {
+  // Redirection with a single replica changes no routing decision, so the
+  // pinned request must be served exactly as with orchestration off — at
+  // the pinned lba, not at file 0's layout lba.
+  const std::uint64_t pinned = util::blocks_of(params_.capacity) / 2;
+  const auto t = trace({{0.0, 0, pinned}});
+  auto cfg = config(t, {0, 0, 0}, 1);
+  cfg.scheduler = SchedulerSpec::sstf();
+  const auto off = run_experiment(cfg);
+  cfg.orch = OrchSpec::parse("redirect");
+  const auto redirect = run_experiment(cfg);
+  ASSERT_EQ(off.response.count(), 1u);
+  ASSERT_EQ(redirect.response.count(), 1u);
+  EXPECT_EQ(redirect.response.max(), off.response.max());
+
+  // Every request a write on an always-on primary: the write goes through
+  // to the primary copy, again at the pinned lba.  The log disk is disk 1.
+  auto writes = config(t, {0, 0, 0}, 2);
+  writes.scheduler = SchedulerSpec::sstf();
+  writes.orch = OrchSpec::parse("offload:1+writes:1");
+  const auto through = run_experiment(writes);
+  ASSERT_EQ(through.per_disk[0].response.count(), 1u);
+  EXPECT_EQ(through.response.max(), off.response.max());
+}
+
 TEST_F(DispatcherFixture, NoCacheMeansEveryRequestHitsDisks) {
   const auto t = trace({{0.0, 0}, {0.0, 0}, {0.0, 0}, {0.0, 0}, {0.0, 0}});
   const auto r = run_experiment(config(t, {0, 0, 0}));

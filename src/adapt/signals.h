@@ -23,6 +23,7 @@
 // for free.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 namespace spindown::adapt {
@@ -38,7 +39,24 @@ public:
   StreamingQuantile(double percentile, double gain)
       : p_(percentile / 100.0), gain_(gain) {}
 
-  void add(double x);
+  void add(double x) {
+    if (x < 0.0) return;
+    ++samples_;
+    if (samples_ == 1) {
+      estimate_ = x;
+      return;
+    }
+    // The max(estimate, 0.1·x) step floor restarts a collapsed estimate:
+    // if the stream jumps upward after the estimate converged near zero, a
+    // step proportional to the estimate alone could never catch up.
+    const double step = gain_ * std::max(estimate_, x * 0.1);
+    if (x > estimate_) {
+      estimate_ += step * p_;
+    } else {
+      estimate_ -= step * (1.0 - p_);
+    }
+    estimate_ = std::max(0.0, estimate_);
+  }
 
   double estimate() const { return estimate_; }
   std::uint64_t samples() const { return samples_; }
@@ -58,7 +76,21 @@ public:
   explicit RateEwma(double alpha = 0.2, double initial_rate = 0.0)
       : alpha_(alpha), rate_(initial_rate) {}
 
-  void observe_arrival(double t);
+  void observe_arrival(double t) {
+    ++arrivals_;
+    if (arrivals_ == 1) {
+      last_arrival_ = t;
+      return;
+    }
+    const double gap = std::max(1e-9, t - last_arrival_);
+    last_arrival_ = t;
+    if (arrivals_ == 2) {
+      gap_ewma_ = gap;
+    } else {
+      gap_ewma_ = alpha_ * gap + (1.0 - alpha_) * gap_ewma_;
+    }
+    rate_ = 1.0 / gap_ewma_;
+  }
 
   double rate() const { return rate_; }
   std::uint64_t arrivals() const { return arrivals_; }

@@ -31,8 +31,7 @@ SleepBudget::SleepBudget(std::uint32_t disks, double mu, double slo_s,
   }
 }
 
-std::optional<std::uint32_t> SleepBudget::maybe_recompute(double t) {
-  if (t < next_epoch_) return std::nullopt;
+std::uint32_t SleepBudget::cross_epochs(double t) {
   // One feedback step per crossed epoch: long idle stretches walk the quota
   // toward the closed-form m* one disk at a time, exactly as if the epochs
   // had been observed live.

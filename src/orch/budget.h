@@ -60,7 +60,10 @@ public:
   /// Cross any epoch boundaries at or before `t`, applying one +/-1
   /// feedback step per epoch.  Returns the new quota when at least one
   /// boundary was crossed, nullopt otherwise.
-  std::optional<std::uint32_t> maybe_recompute(double t);
+  std::optional<std::uint32_t> maybe_recompute(double t) {
+    if (t < next_epoch_) return std::nullopt;
+    return cross_epochs(t);
+  }
 
   /// How many disks must currently stay awake ("the awake prefix").
   std::uint32_t quota() const { return quota_; }
@@ -69,6 +72,7 @@ public:
   std::uint64_t epochs() const { return epochs_; }
 
 private:
+  std::uint32_t cross_epochs(double t);
   void recompute_once();
 
   std::uint32_t disks_;

@@ -47,46 +47,33 @@ FleetController::FleetController(
       auto& c = cursor[mapping_[f]];
       c = std::max(c, extents_[f].lba + extents_[f].blocks);
     }
-    offset_.resize(n + 1, 0);
+    const std::size_t slots = cfg_.replicas - 1;
+    copies_.assign(n * slots, Copy{0, kNoCopy});
     for (std::size_t f = 0; f < n; ++f) {
-      offset_[f] = static_cast<std::uint32_t>(replica_disk_.size());
       const std::uint32_t primary = mapping_[f];
+      Copy* const copy = &copies_[f * slots];
       for (std::uint32_t r = 1; r < cfg_.replicas; ++r) {
         const std::uint32_t d = (primary + r * stride) % disks;
         bool dup = d == primary; // copies that wrap onto an existing
                                  // replica are dropped (k > distinct disks)
-        for (std::size_t i = offset_[f]; !dup && i < replica_disk_.size();
-             ++i) {
-          dup = replica_disk_[i] == d;
+        for (std::size_t i = 0; !dup && i + 1 < r; ++i) {
+          dup = copy[i].disk == d;
         }
         if (dup) continue;
-        replica_disk_.push_back(d);
-        replica_extent_.push_back(
-            workload::FileExtent{cursor[d], extents_[f].blocks});
+        copy[r - 1] = Copy{cursor[d], d};
         cursor[d] += extents_[f].blocks;
       }
     }
-    offset_[n] = static_cast<std::uint32_t>(replica_disk_.size());
   }
-}
-
-bool FleetController::classify_write(std::uint64_t id, double fraction) {
-  if (fraction <= 0.0) return false;
-  // splitmix64 finalizer: a high-quality deterministic hash of the request
-  // id — the workload generators' RNG streams are never touched.
-  std::uint64_t x = id + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return static_cast<double>(x >> 11) * 0x1.0p-53 < fraction;
 }
 
 std::vector<std::uint32_t> FleetController::replica_disks(
     workload::FileId file) const {
   std::vector<std::uint32_t> disks{mapping_[file]};
-  if (!offset_.empty()) {
-    for (std::uint32_t i = offset_[file]; i < offset_[file + 1]; ++i) {
-      disks.push_back(replica_disk_[i]);
+  if (!copies_.empty()) {
+    const std::size_t slots = cfg_.replicas - 1;
+    for (std::size_t i = file * slots; i < (file + 1) * slots; ++i) {
+      if (copies_[i].disk != kNoCopy) disks.push_back(copies_[i].disk);
     }
   }
   return disks;
@@ -165,7 +152,7 @@ FleetController::Choice FleetController::pick_read_target(
       return Choice{copy->log_disk, copy->log_lba, extent.blocks};
     }
   }
-  if (!cfg_.redirect || offset_.empty()) {
+  if (!cfg_.redirect || copies_.empty()) {
     return Choice{primary, primary_lba, extent.blocks};
   }
   // Replica preference, all ties broken by lowest disk id: (1) a replica
@@ -192,9 +179,12 @@ FleetController::Choice FleetController::pick_read_target(
     }
   };
   consider(primary, primary_lba, extent.blocks);
-  for (std::uint32_t i = offset_[file.id]; i < offset_[file.id + 1]; ++i) {
-    consider(replica_disk_[i], replica_extent_[i].lba,
-             replica_extent_[i].blocks);
+  const std::size_t slots = cfg_.replicas - 1;
+  const Copy* const copy = &copies_[file.id * slots];
+  for (std::size_t r = 0; r < slots; ++r) {
+    if (copy[r].disk != kNoCopy) {
+      consider(copy[r].disk, copy[r].lba, extent.blocks);
+    }
   }
   if (have_awake) return awake_best;
   if (have_prefix) return prefix_best;
@@ -237,9 +227,7 @@ void FleetController::emit_destage_subs(double t,
   }
 }
 
-void FleetController::flush_deadlines(double t,
-                                      std::vector<Submission>& out) {
-  if (offload_ == nullptr) return;
+void FleetController::flush_due(double t, std::vector<Submission>& out) {
   drained_.clear();
   offload_->drain_due(t, drained_);
   for (const PendingWrite& p : drained_) {

@@ -157,12 +157,24 @@ public:
   /// passed (each at its own deadline time).  Call with the window frontier
   /// before routing an arrival at t >= frontier, and once with the horizon
   /// after the stream ends, so submission times stay globally monotone.
-  void flush_deadlines(double t, std::vector<Submission>& out);
+  /// Inline O(1) when nothing is due, which is almost every arrival.
+  void flush_deadlines(double t, std::vector<Submission>& out) {
+    if (offload_ != nullptr && offload_->may_have_due(t)) flush_due(t, out);
+  }
 
   /// Deterministic read/write classification: a splitmix64 hash of the
   /// request id against `fraction` — no RNG draws, so arrival streams are
   /// bit-identical with orchestration on or off.
-  static bool classify_write(std::uint64_t id, double fraction);
+  static bool classify_write(std::uint64_t id, double fraction) {
+    if (fraction <= 0.0) return false;
+    // splitmix64 finalizer: a high-quality deterministic hash of the
+    // request id — the workload generators' RNG streams are never touched.
+    std::uint64_t x = id + 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return static_cast<double>(x >> 11) * 0x1.0p-53 < fraction;
+  }
 
   /// Replica disks of `file` (replica 0 = the primary; deduplicated, so
   /// size may be < k when the copies wrap onto the same disk).
@@ -180,6 +192,15 @@ private:
     std::uint64_t blocks = 0;
   };
 
+  /// One replica copy r >= 1 of a file: its extent starts at `lba` on
+  /// `disk` and spans the file's own blocks.  kNoCopy marks a copy dropped
+  /// because it wrapped onto a disk already holding the file.
+  struct Copy {
+    std::uint64_t lba = 0;
+    std::uint32_t disk = 0;
+  };
+  static constexpr std::uint32_t kNoCopy = UINT32_MAX;
+
   Choice pick_read_target(double t, const workload::FileInfo& file,
                           std::uint64_t primary_lba);
   void submit_foreground(double t, std::uint64_t id, util::Bytes bytes,
@@ -188,6 +209,7 @@ private:
                        std::vector<Submission>& out);
   void emit_destage_subs(double t, const std::vector<PendingWrite>& batch,
                          std::vector<Submission>& out);
+  void flush_due(double t, std::vector<Submission>& out);
 
   Config cfg_;
   DiskModel model_;
@@ -196,10 +218,9 @@ private:
   obs::TraceBuffer* trace_;
   std::unique_ptr<WriteOffload> offload_;
   std::unique_ptr<SleepBudget> budget_;
-  // Replica copies r >= 1, flattened per file: replica_at_[offset_[f] .. ).
-  std::vector<std::uint32_t> offset_;
-  std::vector<std::uint32_t> replica_disk_;
-  std::vector<workload::FileExtent> replica_extent_;
+  // Replica copies r >= 1 at a fixed stride of replicas - 1 slots per
+  // file: copies_[f * (replicas - 1) + r - 1]; empty without replication.
+  std::vector<Copy> copies_;
   std::vector<PendingWrite> drained_; ///< scratch, reused per call
   std::uint64_t redirects_ = 0;
   std::uint64_t offloads_ = 0;

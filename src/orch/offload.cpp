@@ -65,19 +65,6 @@ std::optional<WriteOffload::LogCopy> WriteOffload::absorb(
   return LogCopy{p.log_disk, p.log_lba};
 }
 
-std::optional<WriteOffload::LogCopy> WriteOffload::log_copy(
-    workload::FileId file) const {
-  if (file >= latest_.size() || latest_[file] == kNil) return std::nullopt;
-  const PendingWrite& p = pending_[latest_[file] - base_];
-  return LogCopy{p.log_disk, p.log_lba};
-}
-
-bool WriteOffload::has_pending(std::uint32_t target) const {
-  if (target >= by_disk_.size()) return false;
-  const DiskDebt& debt = by_disk_[target];
-  return debt.head < debt.seqs.size();
-}
-
 void WriteOffload::settle(std::uint32_t seq, std::vector<PendingWrite>& out) {
   const PendingWrite& p = pending_[seq - base_];
   placer_.release(p.log_disk - data_disks_, p.bytes);

@@ -74,10 +74,25 @@ public:
                                 std::uint32_t target);
 
   /// Freshest buffered copy of `file`, if one is still pending.
-  std::optional<LogCopy> log_copy(workload::FileId file) const;
+  std::optional<LogCopy> log_copy(workload::FileId file) const {
+    if (file >= latest_.size() || latest_[file] == kNil) return std::nullopt;
+    const PendingWrite& p = pending_[latest_[file] - base_];
+    return LogCopy{p.log_disk, p.log_lba};
+  }
 
   /// True while data disk `target` owes at least one live write; O(1).
-  bool has_pending(std::uint32_t target) const;
+  bool has_pending(std::uint32_t target) const {
+    if (target >= by_disk_.size()) return false;
+    const DiskDebt& debt = by_disk_[target];
+    return debt.head < debt.seqs.size();
+  }
+
+  /// False when drain_due(t) would settle nothing: the oldest unscanned
+  /// write is not yet due, so (deadlines being non-decreasing) none is.
+  /// O(1); may be true when only already-settled writes are due.
+  bool may_have_due(double t) const {
+    return head_ < pending_.size() && pending_[head_].deadline <= t;
+  }
 
   /// Move every live pending write owed to `target` into `out` (in
   /// buffering order) and settle the debt (release log space, forget the

@@ -13,33 +13,10 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-} // namespace
-
 Rng::Rng(std::uint64_t seed) {
   // SplitMix64 expansion guarantees a non-zero xoshiro state for any seed.
   std::uint64_t s = seed;
   for (auto& word : state_) word = splitmix64(s);
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform01() {
-  // Take the top 53 bits: uniform in [0,1) with full double precision.
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -57,10 +34,8 @@ std::uint64_t Rng::uniform_int(std::uint64_t lo, std::uint64_t hi) {
   return lo + v % span;
 }
 
-double Rng::exponential(double rate) {
-  if (rate <= 0.0) throw std::invalid_argument{"exponential rate must be > 0"};
-  // 1 - uniform01() is in (0,1], so the log is finite.
-  return -std::log(1.0 - uniform01()) / rate;
+void Rng::throw_bad_rate() {
+  throw std::invalid_argument{"exponential rate must be > 0"};
 }
 
 double Rng::normal(double mean, double stddev) {
@@ -135,13 +110,13 @@ AliasTable::AliasTable(std::span<const double> weights) {
   // Numerical leftovers are probability-1 buckets.
   for (std::uint32_t i : large) prob_[i] = 1.0;
   for (std::uint32_t i : small) prob_[i] = 1.0;
+  // uniform_int(0, n - 1)'s span and rejection limit, fixed per table.
+  span_ = n;
+  limit_ = std::uint64_t(-1) - std::uint64_t(-1) % span_;
 }
 
-std::size_t AliasTable::sample(Rng& rng) const {
-  assert(!prob_.empty());
-  const std::size_t i =
-      static_cast<std::size_t>(rng.uniform_int(0, prob_.size() - 1));
-  return rng.uniform01() < prob_[i] ? i : alias_[i];
+void AliasTable::throw_empty() {
+  throw std::logic_error{"AliasTable::sample on an empty table"};
 }
 
 } // namespace spindown::util

@@ -63,16 +63,37 @@ PiecewiseRateArrivals::PiecewiseRateArrivals(std::vector<RateSegment> segments,
   }
 }
 
+std::size_t PiecewiseRateArrivals::segment_of(double u) const {
+  // Few segments in practice: linear scan from the back.
+  for (std::size_t i = segments_.size(); i-- > 0;) {
+    if (u >= segments_[i].start) return i;
+  }
+  return 0;
+}
+
 double PiecewiseRateArrivals::rate_at(double t) const {
   if (period_ > 0.0) {
     t = std::fmod(t, period_);
     if (t < 0.0) t += period_;
   }
-  // Few segments in practice: linear scan from the back.
-  for (std::size_t i = segments_.size(); i-- > 0;) {
-    if (t >= segments_[i].start) return segments_[i].rate;
+  return segments_[segment_of(t)].rate;
+}
+
+void PiecewiseRateArrivals::refresh_cursor(double t) {
+  // Candidates are never negative, so rate_at's negative wrap never fires.
+  const double u = period_ > 0.0 ? std::fmod(t, period_) : t;
+  const std::size_t i = segment_of(u);
+  cursor_rate_ = segments_[i].rate;
+  const bool last = i + 1 == segments_.size();
+  if (period_ <= 0.0) {
+    cursor_until_ = last ? std::numeric_limits<double>::infinity()
+                         : segments_[i + 1].start;
+    return;
   }
-  return segments_.front().rate;
+  // The exactness argument is in arrival.h.
+  const double end = last ? period_ : segments_[i + 1].start;
+  const double guard = 4.0 * std::numeric_limits<double>::epsilon() * (t + end);
+  cursor_until_ = ((t - u) + end) - guard;
 }
 
 double PiecewiseRateArrivals::next_arrival(util::Rng& rng) {
@@ -80,7 +101,8 @@ double PiecewiseRateArrivals::next_arrival(util::Rng& rng) {
   // accepted with probability rate(t)/peak.
   for (;;) {
     now_ += rng.exponential(peak_);
-    const double r = rate_at(now_);
+    if (!(now_ < cursor_until_)) refresh_cursor(now_);
+    const double r = cursor_rate_;
     if (r >= peak_ || rng.uniform01() * peak_ < r) return now_;
   }
 }

@@ -74,6 +74,24 @@ struct RateSegment {
 /// accepted with probability rate(t)/peak.  With `period > 0` the rate
 /// function wraps (diurnal cycles); otherwise the last segment's rate holds
 /// forever (and must be positive, or the process would never emit again).
+///
+/// Segment cursor.  Thinning looks up the rate of every candidate, and
+/// candidates only move forward, so next_arrival() keeps the current rate
+/// together with an absolute time `cursor_until_` before which that rate
+/// is certain to hold.  A candidate below it reuses the rate; one at or
+/// past it takes the exact path (rate_at's fmod and segment scan) and
+/// re-derives the cursor.  Exactness: at a refresh at time t, fmod is
+/// exact, so u = fmod(t, P) = t - nP holds as a real identity, and u lies
+/// in its segment [start_i, end) (end = the next start, or P).  Every
+/// later candidate t' < B = nP + end = (t - u) + end therefore has
+/// fmod(t', P) = t' - nP in [u, end), the same segment.  B is computed
+/// with two roundings, (t - u) and + end, each under half an ulp of a
+/// value at most t + end, so it is off by less than 2^-52 (t + end); the
+/// cursor is that value minus a guard of 4 * 2^-52 (t + end), strictly
+/// below B.  Candidates in the guard band just take the exact path.
+/// Without a period the cursor is the next segment's start itself, exact.
+/// The accepted arrivals and every draw are thus those of calling
+/// rate_at() on each candidate.
 class PiecewiseRateArrivals final : public ArrivalProcess {
 public:
   /// `segments` must be non-empty, start at 0, be strictly increasing in
@@ -93,10 +111,17 @@ public:
   const std::vector<RateSegment>& segments() const { return segments_; }
 
 private:
+  /// Index of the segment holding offset u (already wrapped by the period).
+  std::size_t segment_of(double u) const;
+  /// Set the cursor from the exact segment lookup at time t.
+  void refresh_cursor(double t);
+
   std::vector<RateSegment> segments_;
   double period_;
   double peak_ = 0.0;
   double now_ = 0.0;
+  double cursor_rate_ = 0.0;  ///< rate_at(t) for every t < cursor_until_
+  double cursor_until_ = 0.0; ///< 0: the first candidate refreshes
 };
 
 /// 2-state MMPP parameters: Poisson rate and mean (exponential) dwell time

@@ -20,8 +20,10 @@ FileCatalog::FileCatalog(std::vector<FileInfo> files)
   }
 }
 
-const FileInfo& FileCatalog::by_id(FileId id) const {
-  return files_.at(id);
+void FileCatalog::throw_unknown_id(FileId id) const {
+  throw std::out_of_range{"FileCatalog::by_id: file id " +
+                          std::to_string(id) + " not in a catalog of " +
+                          std::to_string(files_.size())};
 }
 
 util::Bytes FileCatalog::min_size() const {

@@ -52,7 +52,11 @@ public:
   std::size_t size() const { return files_.size(); }
   bool empty() const { return files_.empty(); }
   const FileInfo& operator[](std::size_t i) const { return files_[i]; }
-  const FileInfo& by_id(FileId id) const;
+  /// Bounds-checked lookup; throws std::out_of_range for an unknown id.
+  const FileInfo& by_id(FileId id) const {
+    if (id >= files_.size()) throw_unknown_id(id);
+    return files_[id];
+  }
   const std::vector<FileInfo>& files() const { return files_; }
 
   util::Bytes total_bytes() const { return total_bytes_; }
@@ -69,6 +73,8 @@ public:
   void normalize_popularity();
 
 private:
+  [[noreturn]] void throw_unknown_id(FileId id) const;
+
   std::vector<FileInfo> files_; // files_[i].id == i always holds
   util::Bytes total_bytes_ = 0;
 };

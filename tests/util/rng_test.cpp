@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 namespace spindown::util {
@@ -194,6 +195,71 @@ TEST(AliasTable, HighlySkewedZipfLike) {
   EXPECT_NEAR(static_cast<double>(counts[0]) / kN, weights[0] / wsum, 0.01);
   EXPECT_GT(counts[0], counts[10]);
   EXPECT_GT(counts[10], counts[500]);
+}
+
+// Known answers: the first 8 draws of each hot sampler from one seed.  A
+// change that alters every draw the same way (an expression rewritten
+// while inlining, say) passes the generator-vs-generator tests above but
+// fails these.
+constexpr std::uint64_t kKnownSeed = 20260419;
+
+TEST(Rng, KnownAnswerNextU64) {
+  constexpr std::array<std::uint64_t, 8> kWant{
+      0x70b521265f1ee758ULL, 0x0051305a21421008ULL, 0x2dac4f013bee3ed7ULL,
+      0xd3222d366b8a2d66ULL, 0xe61462493faf2774ULL, 0xed0a3dfc071ffc14ULL,
+      0x804c34cfb5e2b48aULL, 0x1dd9307946198dd0ULL};
+  Rng rng{kKnownSeed};
+  for (const auto want : kWant) EXPECT_EQ(rng.next_u64(), want);
+}
+
+TEST(Rng, KnownAnswerUniform01) {
+  constexpr std::array<double, 8> kWant{
+      0x1.c2d484997c7b8p-2, 0x1.44c16885084p-10,  0x1.6d627809df71cp-3,
+      0x1.a6445a6cd7145p-1, 0x1.cc28c4927f5e4p-1, 0x1.da147bf80e3ffp-1,
+      0x1.0098699f6bc56p-1, 0x1.dd93079461988p-4};
+  Rng rng{kKnownSeed};
+  for (const double want : kWant) EXPECT_EQ(rng.uniform01(), want);
+}
+
+TEST(Rng, KnownAnswerExponential) {
+  constexpr std::array<double, 8> kWant{
+      0x1.db5f9273353f6p-3, 0x1.03f7288c3b653p-11, 0x1.41f819408ab66p-4,
+      0x1.64a8068d734dep-1, 0x1.d505b768c584bp-1, 0x1.0a880e697d66cp+0,
+      0x1.1cdde4d9b9bd3p-2, 0x1.963b21401b123p-5};
+  Rng rng{kKnownSeed};
+  for (const double want : kWant) EXPECT_EQ(rng.exponential(2.5), want);
+}
+
+TEST(Rng, KnownAnswerUniformInt) {
+  constexpr std::array<std::uint64_t, 8> kWant{12251, 10635, 20954, 18409,
+                                               16567, 16983, 33741, 18387};
+  Rng rng{kKnownSeed};
+  for (const auto want : kWant) EXPECT_EQ(rng.uniform_int(3, 40002), want);
+}
+
+TEST(AliasTable, KnownAnswerZipfSample) {
+  // Zipf(1) over 40 000 ranks, the Table 1 catalog size; 1/(i+1) is
+  // correctly rounded everywhere, so the table itself is portable.
+  std::vector<double> weights(40000);
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = 1.0 / static_cast<double>(i + 1);
+  }
+  const AliasTable table{weights};
+  constexpr std::array<std::size_t, 8> kWant{12248, 11, 4,     294,
+                                             32,    72, 17356, 4245};
+  Rng rng{kKnownSeed};
+  for (const auto want : kWant) EXPECT_EQ(table.sample(rng), want);
+  // The generator's state after the draws: the same number of draws, too.
+  EXPECT_EQ(rng.next_u64(), 0x9581b8f528fc5379ULL);
+}
+
+TEST(AliasTable, SamplingAnEmptyTableThrows) {
+  Rng rng{1};
+  const AliasTable empty;
+  EXPECT_THROW((void)empty.sample(rng), std::logic_error);
+  const AliasTable from_no_weights{std::span<const double>{}};
+  EXPECT_TRUE(from_no_weights.empty());
+  EXPECT_THROW((void)from_no_weights.sample(rng), std::logic_error);
 }
 
 } // namespace

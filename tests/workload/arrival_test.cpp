@@ -102,6 +102,82 @@ TEST(PiecewiseRateArrivals, StrictlyIncreasingAndDeterministic) {
   }
 }
 
+// The thinning loop as it stood before the segment cursor: every candidate
+// pays an exact fmod and a segment scan.  The cursor must reproduce its
+// arrivals bit for bit, and leave the generator in the same state.
+double reference_next_arrival(const std::vector<RateSegment>& segments,
+                              double period, double peak, double& now,
+                              util::Rng& rng) {
+  const auto rate_at = [&](double t) {
+    if (period > 0.0) {
+      t = std::fmod(t, period);
+      if (t < 0.0) t += period;
+    }
+    for (std::size_t i = segments.size(); i-- > 0;) {
+      if (t >= segments[i].start) return segments[i].rate;
+    }
+    return segments.front().rate;
+  };
+  for (;;) {
+    now += rng.exponential(peak);
+    const double r = rate_at(now);
+    if (r >= peak || rng.uniform01() * peak < r) return now;
+  }
+}
+
+void expect_cursor_matches_reference(const std::vector<RateSegment>& segments,
+                                     double period, double horizon,
+                                     std::uint64_t seed) {
+  PiecewiseRateArrivals cursor{segments, period};
+  util::Rng a{seed}, b{seed};
+  double now = 0.0;
+  std::uint64_t arrivals = 0;
+  for (;;) {
+    const double got = cursor.next_arrival(a);
+    const double want = reference_next_arrival(segments, period,
+                                               cursor.peak_rate(), now, b);
+    ASSERT_EQ(got, want) << "arrival " << arrivals;
+    if (got >= horizon) break;
+    ++arrivals;
+  }
+  EXPECT_GT(arrivals, 1000U);
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+TEST(PiecewiseRateArrivals, CursorMatchesPerCandidateThinning) {
+  // The diurnal benchmark shape and the README's nhpp example.
+  expect_cursor_matches_reference({{0.0, 12.0}, {9000.0, 0.4}}, 18000.0,
+                                  72000.0, 1);
+  expect_cursor_matches_reference({{0.0, 3.0}, {3000.0, 0.08}}, 9000.0,
+                                  27000.0, 7);
+}
+
+TEST(PiecewiseRateArrivals, CursorMatchesOnZeroRateSegments) {
+  expect_cursor_matches_reference(
+      {{0.0, 5.0}, {100.0, 0.0}, {250.0, 2.0}, {400.0, 0.0}}, 500.0, 50000.0,
+      3);
+  expect_cursor_matches_reference({{0.0, 0.0}, {10.0, 6.0}, {20.0, 0.0}},
+                                  30.0, 20000.0, 4);
+}
+
+TEST(PiecewiseRateArrivals, CursorMatchesOverManyWrapsAtLargeTimes) {
+  // A 0.5 s period run to t = 1e6: two million wraps, segment ends a few
+  // hundred ulps of t apart from the candidates around them.
+  expect_cursor_matches_reference({{0.0, 1.0}, {0.1, 0.0}, {0.3, 0.5}}, 0.5,
+                                  1.0e6, 5);
+}
+
+TEST(PiecewiseRateArrivals, CursorMatchesWithoutAPeriod) {
+  expect_cursor_matches_reference({{0.0, 1.0}, {50.0, 4.0}, {120.0, 0.5}},
+                                  0.0, 5000.0, 6);
+}
+
+TEST(PiecewiseRateArrivals, CursorMatchesOnNonBinarySegmentStarts) {
+  // 0.3, 1.7, 2.9 and 3.1 have no exact binary representation.
+  expect_cursor_matches_reference(
+      {{0.0, 3.0}, {0.3, 1.0}, {1.7, 0.1}, {2.9, 5.0}}, 3.1, 100000.0, 8);
+}
+
 TEST(MmppArrivals, ValidatesParams) {
   MmppParams zero;
   zero.rate = {0.0, 0.0};

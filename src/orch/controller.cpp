@@ -105,8 +105,20 @@ void FleetController::route(double t, std::uint64_t id,
     // Writes target the primary copy only (the replicas are read-time
     // copies; keeping them in sync is the next reorganization's job).
     if (!model_.awake(primary, t)) {
-      const auto copy = offload_->absorb(t, id, file.id, file.size,
-                                         extent.blocks, primary_lba, primary);
+      // The log disk with the most free buffer space (lowest id on ties)
+      // takes the write, but only if the model says it answers sooner than
+      // the sleeping primary: its backlog must be shorter than a spin-up.
+      std::uint32_t log = cfg_.data_disks;
+      for (std::uint32_t d = log + 1; d < cfg_.data_disks + cfg_.log_disks;
+           ++d) {
+        if (offload_->free_space(d) > offload_->free_space(log)) log = d;
+      }
+      const auto copy =
+          model_.predict_response(log, t, file.size) <
+                  model_.predict_response(primary, t, file.size)
+              ? offload_->absorb(log, t, id, file.id, file.size,
+                                 extent.blocks, primary_lba, primary)
+              : std::nullopt;
       if (copy.has_value()) {
         ++offloads_;
         if (trace_ != nullptr && trace_->wants(obs::Kind::kPolicy)) {
@@ -121,8 +133,8 @@ void FleetController::route(double t, std::uint64_t id,
         return;
       }
     }
-    // Awake primary (or a full log tier): write through — and since the
-    // primary is spinning for this request anyway, settle its debt now.
+    // Awake primary, a backed-up or full log tier: write through — and
+    // since the primary spins for this request anyway, settle its debt.
     submit_foreground(t, id, file.size,
                       Choice{primary, primary_lba, extent.blocks}, out);
     trigger_destage(t, id, primary, out);

@@ -13,8 +13,12 @@
 //     stride = max(1, D/k)); a read routes to whichever replica the
 //     controller predicts is spun up, deterministic tie-break by lowest
 //     disk id, so a cold replica's disk can stay asleep;
-//   * write off-loading — writes aimed at a sleeping disk detour to the
-//     always-on log tier and destage later (orch/offload.h);
+//   * write off-loading — a write aimed at a sleeping disk detours to the
+//     always-on log disk with the most free buffer space (lowest id on
+//     ties) and destages later (orch/offload.h), but only when the disk
+//     model predicts that log disk answers sooner than waking the primary,
+//     i.e. its backlog is shorter than a spin-up; otherwise the write goes
+//     through and settles the primary's debt, as for an awake primary;
 //   * global SLO sleep budget — an awake-disk quota from the fleet arrival
 //     estimate and a streaming p99 (orch/budget.h); redirection prefers
 //     replicas inside the awake prefix {0..quota-1}, concentrating load so

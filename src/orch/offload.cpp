@@ -9,12 +9,11 @@ namespace spindown::orch {
 WriteOffload::WriteOffload(std::uint32_t data_disks, std::uint32_t log_disks,
                            util::Bytes log_capacity, double deadline_s,
                            double horizon_s, std::size_t files)
-    : placer_(log_disks, log_capacity, core::FitRule::kBestFit),
-      data_disks_(data_disks), deadline_s_(deadline_s),
-      horizon_s_(horizon_s),
+    : data_disks_(data_disks), deadline_s_(deadline_s),
+      horizon_s_(horizon_s), capacity_(log_capacity),
       capacity_blocks_(std::max<std::uint64_t>(
           1, log_capacity / util::kBlockBytes)),
-      all_spinning_(log_disks, true), by_disk_(data_disks),
+      used_(log_disks, 0), by_disk_(data_disks),
       latest_(files, kNil), log_cursor_(log_disks, 0) {
   if (data_disks == 0 || log_disks == 0) {
     throw std::invalid_argument{
@@ -26,30 +25,30 @@ WriteOffload::WriteOffload(std::uint32_t data_disks, std::uint32_t log_disks,
 }
 
 std::optional<WriteOffload::LogCopy> WriteOffload::absorb(
-    double t, std::uint64_t request_id, workload::FileId file,
-    util::Bytes bytes, std::uint64_t blocks, std::uint64_t target_lba,
-    std::uint32_t target) {
-  // Every log disk is always-on, so the spinning-aware placer degenerates
-  // to best-fit over free buffer space — exactly §1.1's write rule.
-  const auto local = placer_.place(bytes, all_spinning_);
-  if (!local.has_value()) return std::nullopt;
+    std::uint32_t log_disk, double t, std::uint64_t request_id,
+    workload::FileId file, util::Bytes bytes, std::uint64_t blocks,
+    std::uint64_t target_lba, std::uint32_t target) {
+  const std::uint32_t local = log_disk - data_disks_;
+  assert(local < used_.size()); // a log disk, not a data disk
+  if (bytes > free_space(log_disk)) return std::nullopt;
   if (buffered_ >= kNil) {
     throw std::length_error{"WriteOffload: write numbers exhausted"};
   }
+  used_[local] += bytes;
 
   PendingWrite p;
   // The horizon cap keeps deadlines monotone (t is non-decreasing) *and*
   // guarantees the tier drains inside the measurement window.
   p.deadline = std::min(t + deadline_s_, horizon_s_);
   p.target = target;
-  p.log_disk = data_disks_ + *local;
+  p.log_disk = log_disk;
   p.file = file;
   p.request_id = request_id;
   p.bytes = bytes;
   p.target_lba = target_lba;
-  p.log_lba = log_cursor_[*local];
+  p.log_lba = log_cursor_[local];
   p.blocks = blocks;
-  log_cursor_[*local] = (log_cursor_[*local] + blocks) % capacity_blocks_;
+  log_cursor_[local] = (log_cursor_[local] + blocks) % capacity_blocks_;
 
   const auto seq = static_cast<std::uint32_t>(buffered_);
   pending_.push_back(p);
@@ -67,7 +66,7 @@ std::optional<WriteOffload::LogCopy> WriteOffload::absorb(
 
 void WriteOffload::settle(std::uint32_t seq, std::vector<PendingWrite>& out) {
   const PendingWrite& p = pending_[seq - base_];
-  placer_.release(p.log_disk - data_disks_, p.bytes);
+  used_[p.log_disk - data_disks_] -= p.bytes;
   if (latest_[p.file] == seq) latest_[p.file] = kNil;
   done_[seq - base_] = true;
   ++destaged_;

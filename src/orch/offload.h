@@ -12,11 +12,12 @@
 // destage lands, reads of an off-loaded file are routed to the log copy, so
 // the freshest bytes are always the ones served.
 //
-// Placement on the log tier reuses core::WritePlacer (§1.1's spinning-aware
-// best-fit — the log disks are all "spinning", so this degenerates to plain
-// best-fit over free space), and destaging returns the bytes via
-// WritePlacer::release.  Log-disk LBAs are handed out by a per-disk
-// log-structured cursor that wraps at the disk's capacity.
+// WriteOffload only keeps the books: buffer space used per log disk (the
+// room check), each data disk's debt, the log-structured LBA cursors
+// (wrapping at the disk's capacity) and the live log copies.  *Which* log
+// disk absorbs a write is the controller's decision (FleetController::
+// route picks the one with the most free space and off-loads only when its
+// backlog is shorter than a spin-up), passed in as an argument.
 //
 // Determinism: deadlines are min(t + deadline_s, horizon), so with arrivals
 // fed in non-decreasing t the pending queue is created in non-decreasing
@@ -29,7 +30,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/write_policy.h"
 #include "util/units.h"
 #include "workload/catalog.h"
 
@@ -64,10 +64,18 @@ public:
     std::uint64_t log_lba = 0;
   };
 
-  /// Buffer a write aimed at sleeping data disk `target`.  Returns the log
-  /// placement, or nullopt when no log disk has room (the caller then
+  /// Buffer space not yet holding a pending write on log disk `log_disk`
+  /// (global id).
+  util::Bytes free_space(std::uint32_t log_disk) const {
+    return capacity_ - used_[log_disk - data_disks_];
+  }
+
+  /// Buffer a write aimed at sleeping data disk `target` on log disk
+  /// `log_disk` (global id, chosen by the caller).  Returns the log
+  /// placement, or nullopt when that log disk has no room (the caller then
   /// writes through to the home disk).
-  std::optional<LogCopy> absorb(double t, std::uint64_t request_id,
+  std::optional<LogCopy> absorb(std::uint32_t log_disk, double t,
+                                std::uint64_t request_id,
                                 workload::FileId file, util::Bytes bytes,
                                 std::uint64_t blocks,
                                 std::uint64_t target_lba,
@@ -120,12 +128,12 @@ private:
 
   void settle(std::uint32_t seq, std::vector<PendingWrite>& out);
 
-  core::WritePlacer placer_; ///< indexed by log disk *local* id
   std::uint32_t data_disks_;
   double deadline_s_;
   double horizon_s_;
+  util::Bytes capacity_;
   std::uint64_t capacity_blocks_;
-  std::vector<bool> all_spinning_; ///< every log disk is always-on
+  std::vector<util::Bytes> used_; ///< per log disk (local id), bytes
 
   std::vector<PendingWrite> pending_; ///< head_ = oldest unscanned
   std::vector<bool> done_;            ///< parallel to pending_

@@ -204,9 +204,10 @@ struct ObsSpec {
 ///     replicas can stay asleep;
 ///   * offload — write off-loading with deferred destage: a small tier of
 ///     always-on log disks absorbs writes aimed at sleeping data disks
-///     (core::WritePlacer, spinning-aware best-fit) and destages them in a
-///     batch when the target next serves a foreground read or when the
-///     destage deadline expires;
+///     (the log disk with the most free space, and only while its predicted
+///     backlog is shorter than a spin-up; else the write goes through) and
+///     destages them in a batch when the target next serves a foreground
+///     read or when the destage deadline expires;
 ///   * budget — a global SLO sleep budget: the controller tracks the
 ///     fleet-wide arrival-rate estimate and a streaming p99 of predicted
 ///     response, and caps how many disks may sleep using the M/M/1 closed

@@ -717,6 +717,10 @@ std::string to_json(const RunResult& r) {
   out += ", \"resp_p95_s\": " + num(r.response.p95());
   out += ", \"resp_p99_s\": " + num(r.response.p99());
   out += ", \"resp_max_s\": " + num(r.response.max());
+  // Responses past the histogram's range: when non-zero, percentiles that
+  // read ResponseSummary::kHistHi are clamped, not measured.
+  out += ", \"resp_hist_overflow\": " +
+         std::to_string(r.response.histogram().overflow());
   out += ", \"cache_hits\": " + std::to_string(r.cache.hits);
   out += ", \"cache_misses\": " + std::to_string(r.cache.misses);
   out += ", \"completed_at_horizon\": " +

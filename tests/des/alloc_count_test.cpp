@@ -284,7 +284,8 @@ TEST(AllocCount, OffloadAbsorbDrainCycleIsAllocationFree) {
   const auto cycle = [&](std::uint64_t i) {
     const double t = static_cast<double>(i);
     const auto file = static_cast<spindown::workload::FileId>(i % 1000);
-    (void)off.absorb(t, i, file, spindown::util::mb(1.0), 2, i,
+    (void)off.absorb(kDataDisks + static_cast<std::uint32_t>(i % 4), t, i,
+                     file, spindown::util::mb(1.0), 2, i,
                      static_cast<std::uint32_t>((i * 7) % kDataDisks));
     copies += off.log_copy(file).has_value() ? 1 : 0;
     out.clear();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace spindown::des {
@@ -32,6 +33,27 @@ TEST(Simulation, SameTimeEventsRunFifo) {
   }
   sim.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(Simulation, SameTimeTiesRunInSchedulingOrderAcrossTimes) {
+  // Two chains meet at t = 6: "slow" booked its t = 6 event at t = 3,
+  // before "fast" did at t = 4, so it runs first.  A zero delay booked at
+  // t = 6 runs at t = 6, behind every event already waiting there.
+  Simulation sim;
+  std::vector<std::string> log;
+  const auto record = [&](const char* name) {
+    log.push_back(name + std::string{"@"} + std::to_string(sim.now()));
+  };
+  sim.schedule_at(3.0, [&] {
+    sim.schedule_in(3.0, [&] {
+      record("slow");
+      sim.schedule_in(0.0, [&] { record("zero"); });
+    });
+  });
+  sim.schedule_at(4.0, [&] { sim.schedule_in(2.0, [&] { record("fast"); }); });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"slow@6.000000", "fast@6.000000",
+                                           "zero@6.000000"}));
 }
 
 TEST(Simulation, ScheduleInIsRelative) {

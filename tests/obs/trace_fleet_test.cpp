@@ -337,6 +337,8 @@ TEST(TracePin, ShardLocalSstfFixedTimeoutStreamIsPinned) {
   EXPECT_EQ(d.hash, 0xa5b3b5b1c7a60bffull);
 }
 
+// The run's one log disk backs up past a spin-up, so the stream also pins
+// the off-load guard: such writes go through to their sleeping primary.
 TEST(TracePin, RoutedOrchestratedEwmaStreamIsPinned) {
   const auto trace = traced_scenario(
       "catalog=table1(2000,5) load=0.5 policy=ewma cache=lru:2g replicas=2 "
@@ -344,9 +346,9 @@ TEST(TracePin, RoutedOrchestratedEwmaStreamIsPinned) {
       "workload=poisson(2,12000) shards=3 seed=5 obs=all",
       60.0);
   const auto d = digest(trace);
-  EXPECT_EQ(trace.events.size(), 245539u);
-  EXPECT_EQ(d.bytes, 9330482u);
-  EXPECT_EQ(d.hash, 0x1d3c9e45df3fbfc9ull);
+  EXPECT_EQ(trace.events.size(), 242296u);
+  EXPECT_EQ(d.bytes, 9207248u);
+  EXPECT_EQ(d.hash, 0x364d2e2678d62065ull);
   // The stream must exercise every mechanism the scenario names.
   bool redirect = false, offload = false, destage = false, hit = false;
   for (const auto& e : trace.events) {

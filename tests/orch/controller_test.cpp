@@ -263,5 +263,54 @@ TEST(OrchController, PinnedLbaAddressesThePrimaryCopyOnly) {
   EXPECT_EQ(out[0].lba, pinned);
 }
 
+TEST(OrchLogTier, WritesGoToTheLogDiskWithTheMostFreeSpace) {
+  auto config = offload_config();
+  config.log_disks = 3; // global ids 2, 3, 4
+  Harness h{config};
+  std::vector<Submission> out;
+  // Every write lands on an equally empty log disk or one with more room
+  // than the last: lowest id first, then round the tier.
+  std::uint64_t id = 0;
+  for (const std::uint32_t expected : {2u, 3u, 4u, 2u}) {
+    id = find_id(true, 0.5, id + 1);
+    out.clear();
+    h.controller->route(1000.0, id, h.files[0], out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].disk, expected);
+  }
+  EXPECT_EQ(h.controller->offloads(), 4u);
+}
+
+TEST(OrchLogTier, WritesThroughWhenTheLogBacklogExceedsASpinUp) {
+  Harness h{offload_config()};
+  const ServiceModel model = Harness::service();
+  const double service = model.service(h.files[0].size);
+  std::vector<Submission> out;
+  // Writes aimed at sleeping disk 0 pile onto the one log disk (id 2), each
+  // adding one service time to its backlog, until the backlog reaches a
+  // spin-up: from then on waking the primary answers sooner.
+  std::uint64_t id = 0;
+  std::uint64_t offloaded = 0;
+  for (;;) {
+    id = find_id(true, 0.5, id + 1);
+    out.clear();
+    h.controller->route(1000.0, id, h.files[0], out);
+    ASSERT_FALSE(out.empty());
+    if (out[0].disk != 2u) break;
+    ++offloaded;
+    ASSERT_LT(offloaded, 10'000u);
+  }
+  // The write-through happened exactly when the log backlog first reached
+  // spinup_s, and it settles the primary's whole debt behind it.
+  EXPECT_GE(static_cast<double>(offloaded) * service, model.spinup_s);
+  EXPECT_LT(static_cast<double>(offloaded - 1) * service, model.spinup_s);
+  EXPECT_EQ(out[0].disk, 0u);
+  EXPECT_EQ(out[0].request_id, id);
+  EXPECT_FALSE(out[0].background);
+  EXPECT_EQ(out.size(), 1 + offloaded);
+  EXPECT_EQ(h.controller->offloads(), offloaded);
+  EXPECT_EQ(h.controller->destages(), offloaded);
+}
+
 } // namespace
 } // namespace spindown::orch

@@ -22,12 +22,14 @@ WriteOffload make_offload(util::Bytes capacity = util::gb(1.0)) {
 
 TEST(OrchOffload, AbsorbPlacesOnLogTierAndRecordsDebt) {
   auto off = make_offload();
-  const auto copy = off.absorb(/*t=*/10.0, /*id=*/7, /*file=*/3,
-                               util::mb(64.0), /*blocks=*/128,
-                               /*target_lba=*/555, /*target=*/2);
+  const auto copy = off.absorb(/*log_disk=*/kDataDisks + 1, /*t=*/10.0,
+                               /*id=*/7, /*file=*/3, util::mb(64.0),
+                               /*blocks=*/128, /*target_lba=*/555,
+                               /*target=*/2);
   ASSERT_TRUE(copy.has_value());
-  EXPECT_GE(copy->log_disk, kDataDisks); // global id on the log tier
-  EXPECT_LT(copy->log_disk, kDataDisks + kLogDisks);
+  EXPECT_EQ(copy->log_disk, kDataDisks + 1); // the caller's choice
+  EXPECT_EQ(off.free_space(kDataDisks + 1), util::gb(1.0) - util::mb(64.0));
+  EXPECT_EQ(off.free_space(kDataDisks), util::gb(1.0));
   EXPECT_TRUE(off.has_pending(2));
   EXPECT_FALSE(off.has_pending(1));
   EXPECT_EQ(off.buffered(), 1u);
@@ -41,7 +43,7 @@ TEST(OrchOffload, AbsorbPlacesOnLogTierAndRecordsDebt) {
 
 TEST(OrchOffload, DeadlineExactlyDuePopsInclusive) {
   auto off = make_offload();
-  off.absorb(10.0, 1, 0, util::mb(1.0), 2, 0, 0);
+  off.absorb(kDataDisks, 10.0, 1, 0, util::mb(1.0), 2, 0, 0);
   std::vector<PendingWrite> out;
   // One tick before the deadline: nothing due.
   off.drain_due(10.0 + kDeadline - 1e-9, out);
@@ -61,7 +63,7 @@ TEST(OrchOffload, DeadlineIsCappedAtTheHorizon) {
   auto off = make_offload();
   // Absorbed 10 s before the horizon with a 100 s deadline: the cap pulls
   // the destage inside the measurement window.
-  off.absorb(kHorizon - 10.0, 1, 0, util::mb(1.0), 2, 0, 1);
+  off.absorb(kDataDisks, kHorizon - 10.0, 1, 0, util::mb(1.0), 2, 0, 1);
   std::vector<PendingWrite> out;
   off.drain_due(kHorizon - 10.5, out);
   EXPECT_TRUE(out.empty());
@@ -72,9 +74,9 @@ TEST(OrchOffload, DeadlineIsCappedAtTheHorizon) {
 
 TEST(OrchOffload, TriggeredDrainSettlesBeforeTheDeadline) {
   auto off = make_offload();
-  off.absorb(10.0, 1, 0, util::mb(1.0), 2, 100, 3);
-  off.absorb(11.0, 2, 1, util::mb(1.0), 2, 200, 3);
-  off.absorb(12.0, 3, 2, util::mb(1.0), 2, 300, 1);
+  off.absorb(kDataDisks, 10.0, 1, 0, util::mb(1.0), 2, 100, 3);
+  off.absorb(kDataDisks, 11.0, 2, 1, util::mb(1.0), 2, 200, 3);
+  off.absorb(kDataDisks, 12.0, 3, 2, util::mb(1.0), 2, 300, 1);
 
   // The target disk serves a foreground request: its whole debt destages
   // now, in buffering order; the other disk's debt is untouched.
@@ -97,8 +99,10 @@ TEST(OrchOffload, TriggeredDrainSettlesBeforeTheDeadline) {
 
 TEST(OrchOffload, NewerWriteShadowsOlderUntilBothDestage) {
   auto off = make_offload();
-  const auto first = off.absorb(10.0, 1, 5, util::mb(1.0), 2, 0, 0);
-  const auto second = off.absorb(20.0, 2, 5, util::mb(1.0), 2, 0, 0);
+  const auto first =
+      off.absorb(kDataDisks, 10.0, 1, 5, util::mb(1.0), 2, 0, 0);
+  const auto second =
+      off.absorb(kDataDisks, 20.0, 2, 5, util::mb(1.0), 2, 0, 0);
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
   // Reads see the freshest copy.
@@ -115,14 +119,19 @@ TEST(OrchOffload, NewerWriteShadowsOlderUntilBothDestage) {
 TEST(OrchOffload, FullTierRejectsUntilSpaceIsReleased) {
   auto off = WriteOffload{kDataDisks, /*log_disks=*/1, util::mb(10.0),
                           kDeadline, kHorizon};
-  ASSERT_TRUE(off.absorb(1.0, 1, 0, util::mb(6.0), 12, 0, 0).has_value());
+  ASSERT_TRUE(
+      off.absorb(kDataDisks, 1.0, 1, 0, util::mb(6.0), 12, 0, 0).has_value());
   // 6 MB of a 10 MB buffer used: another 6 MB write cannot be absorbed —
   // the caller falls back to writing through to the home disk.
-  EXPECT_FALSE(off.absorb(2.0, 2, 1, util::mb(6.0), 12, 0, 1).has_value());
+  EXPECT_EQ(off.free_space(kDataDisks), util::mb(4.0));
+  EXPECT_FALSE(
+      off.absorb(kDataDisks, 2.0, 2, 1, util::mb(6.0), 12, 0, 1).has_value());
   // Destaging returns the space and the tier absorbs again.
   std::vector<PendingWrite> out;
   off.drain_disk(0, out);
-  EXPECT_TRUE(off.absorb(3.0, 3, 1, util::mb(6.0), 12, 0, 1).has_value());
+  EXPECT_EQ(off.free_space(kDataDisks), util::mb(10.0));
+  EXPECT_TRUE(
+      off.absorb(kDataDisks, 3.0, 3, 1, util::mb(6.0), 12, 0, 1).has_value());
 }
 
 TEST(OrchOffload, DeadlineDrainedDiskHasNoPendingDebt) {
@@ -132,7 +141,8 @@ TEST(OrchOffload, DeadlineDrainedDiskHasNoPendingDebt) {
   std::vector<PendingWrite> out;
   for (std::uint64_t i = 0; i < 1000; ++i) {
     const double t = static_cast<double>(i);
-    ASSERT_TRUE(off.absorb(t, i, static_cast<workload::FileId>(i % 7),
+    ASSERT_TRUE(off.absorb(kDataDisks, t, i,
+                           static_cast<workload::FileId>(i % 7),
                            util::mb(1.0), 2, 0, /*target=*/2)
                     .has_value());
     off.drain_due(t, out);
@@ -158,7 +168,9 @@ TEST(OrchOffload, DroppingTheSettledPrefixKeepsOrderAndCopies) {
     const double t = static_cast<double>(i) * 7.0;
     const auto file = static_cast<workload::FileId>(i % 8);
     const auto target = static_cast<std::uint32_t>(i % kDataDisks);
-    const auto copy = off.absorb(t, i, file, util::kBlockBytes, 1, i, target);
+    const auto copy =
+        off.absorb(kDataDisks + static_cast<std::uint32_t>(i % kLogDisks), t,
+                   i, file, util::kBlockBytes, 1, i, target);
     ASSERT_TRUE(copy.has_value());
     newest[file] = i + 1;
     const std::size_t before = due.size();
@@ -196,7 +208,7 @@ TEST(OrchOffload, DroppingTheSettledPrefixKeepsOrderAndCopies) {
 TEST(OrchOffload, FileIndexGrowsPastItsInitialSize) {
   auto off = WriteOffload{kDataDisks, kLogDisks, util::gb(1.0), kDeadline,
                           kHorizon, /*files=*/4};
-  ASSERT_TRUE(off.absorb(1.0, 1, 1'000'000, util::mb(1.0), 2, 0, 0)
+  ASSERT_TRUE(off.absorb(kDataDisks, 1.0, 1, 1'000'000, util::mb(1.0), 2, 0, 0)
                   .has_value());
   EXPECT_TRUE(off.log_copy(1'000'000).has_value());
   EXPECT_FALSE(off.log_copy(999'999).has_value());

@@ -386,5 +386,29 @@ TEST(ScenarioJson, EmitsOneParseableObject) {
   EXPECT_EQ(depth, 0u);
 }
 
+/// The integer after `"key": ` in a JSON row.
+std::uint64_t json_count(const std::string& json, const std::string& key) {
+  const auto at = json.find("\"" + key + "\": ");
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return 0;
+  return std::stoull(json.substr(at + key.size() + 4));
+}
+
+TEST(ScenarioJson, ReportsResponseHistogramOverflow) {
+  // Overloaded: responses run past the histogram's 2000 s range, every
+  // percentile clamps to it, and the row says how many overflowed.
+  const auto hot = run_scenario(ScenarioSpec::parse(
+      "catalog=table1(1500,7) load=0.9 "
+      "workload=nhpp(0:2;14400:8;28800:2,43200) shards=4 seed=9"));
+  const auto overflow = json_count(to_json(hot), "resp_hist_overflow");
+  EXPECT_GT(overflow, 0u);
+  EXPECT_EQ(overflow, hot.response.histogram().overflow());
+  EXPECT_DOUBLE_EQ(hot.response.p99(), stats::ResponseSummary::kHistHi);
+
+  const auto light = run_scenario(small_packed_scenario());
+  EXPECT_EQ(json_count(to_json(light), "resp_hist_overflow"), 0u);
+  EXPECT_LT(light.response.p99(), stats::ResponseSummary::kHistHi);
+}
+
 } // namespace
 } // namespace spindown::sys
